@@ -2,26 +2,9 @@ package triehash
 
 import (
 	"fmt"
-	"time"
 
 	"triehash/internal/obs"
 )
-
-// batchGetter is implemented by engines that can serve a whole batch with
-// one bucket access per distinct bucket (the single-level core engine).
-type batchGetter interface {
-	GetBatch(keys []string) ([][]byte, []error)
-}
-
-// batchSpanGetter is batchGetter's span-carrying form.
-type batchSpanGetter interface {
-	GetBatchSpan(keys []string, sp *obs.Span) ([][]byte, []error)
-}
-
-// batchSpanPutter is batchPutter's span-carrying form.
-type batchSpanPutter interface {
-	PutBatchSpan(keys []string, values [][]byte, sp *obs.Span) []error
-}
 
 // GetBatch looks up many keys in one call. The file lock is taken once
 // for the whole batch, and on single-level files the keys are partitioned
@@ -31,61 +14,11 @@ type batchSpanPutter interface {
 // validation error) otherwise. The batch is timed as one OpGetBatch
 // sample when an observer is attached.
 func (f *File) GetBatch(keys []string) (vals [][]byte, errs []error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		errs = make([]error, len(keys))
-		for i := range errs {
-			errs[i] = ErrClosed
-		}
-		return make([][]byte, len(keys)), errs
+	c := call{op: obs.OpGetBatch, keys: keys}
+	if err := f.run(&c); err != nil {
+		return make([][]byte, len(keys)), fill(make([]error, len(keys)), err)
 	}
-	o := f.hook.Observer()
-	if sp := o.StartSpan(obs.OpGetBatch); sp != nil {
-		defer o.FinishSpan(sp)
-		if bg, ok := f.eng.(batchSpanGetter); ok {
-			vals, errs = bg.GetBatchSpan(keys, sp)
-			for i, err := range errs {
-				errs[i] = mapNotFound(err)
-			}
-			return vals, errs
-		}
-		vals = make([][]byte, len(keys))
-		errs = make([]error, len(keys))
-		for i, k := range keys {
-			v, err := f.eng.GetSpan(k, sp)
-			vals[i], errs[i] = v, mapNotFound(err)
-		}
-		return vals, errs
-	}
-	var start time.Time
-	if o != nil {
-		start = time.Now()
-	}
-	if bg, ok := f.eng.(batchGetter); ok {
-		vals, errs = bg.GetBatch(keys)
-		for i, err := range errs {
-			errs[i] = mapNotFound(err)
-		}
-	} else {
-		vals = make([][]byte, len(keys))
-		errs = make([]error, len(keys))
-		for i, k := range keys {
-			v, err := f.eng.Get(k)
-			vals[i], errs[i] = v, mapNotFound(err)
-		}
-	}
-	if o != nil {
-		o.RecordOp(obs.OpGetBatch, time.Since(start))
-	}
-	return vals, errs
-}
-
-// batchPutter is implemented by engines that apply a whole batch with one
-// latch and one store write per distinct bucket (the concurrent engine,
-// whose slow wave also prepares splits of distinct buckets in parallel).
-type batchPutter interface {
-	PutBatch(keys []string, values [][]byte) []error
+	return c.values, c.errs
 }
 
 // PutBatch inserts or replaces many records in one call under a single
@@ -96,104 +29,44 @@ type batchPutter interface {
 // bucket work — split I/O included — fans out across CPUs. With
 // Options.WAL the whole batch rides one group-commit rendezvous: its
 // accepted records are durable in the log when the call returns.
-func (f *File) PutBatch(keys []string, values [][]byte) (errs []error) {
-	errs = f.putBatchOp(keys, values)
-	f.maybeCheckpoint()
-	return errs
-}
-
-func (f *File) putBatchOp(keys []string, values [][]byte) (errs []error) {
+func (f *File) PutBatch(keys []string, values [][]byte) []error {
 	if len(keys) != len(values) {
 		panic(fmt.Sprintf("triehash: PutBatch with %d keys but %d values", len(keys), len(values)))
 	}
-	o := f.hook.Observer()
-	if sp := o.StartSpan(obs.OpPutBatch); sp != nil {
-		defer o.FinishSpan(sp)
-		defer f.opLock()()
-		sp.Mark(obs.StageFileLock)
-		errs = make([]error, len(keys))
-		if f.closed {
-			for i := range errs {
-				errs[i] = ErrClosed
-			}
-			return errs
-		}
-		if bp, ok := f.eng.(batchSpanPutter); ok {
-			f.putBatchEngine(func(ks []string, vs [][]byte) []error {
-				return bp.PutBatchSpan(ks, vs, sp)
-			}, keys, values, errs)
-			f.walAppendBatch(keys, values, errs, sp)
-			return errs
-		}
-		for i, k := range keys {
-			if f.maxRecord > 0 && len(k)+len(values[i]) > f.maxRecord {
-				errs[i] = fmt.Errorf("%w: %d bytes, limit %d (raise SlotBytes or lower BucketCapacity)",
-					ErrRecordTooLarge, len(k)+len(values[i]), f.maxRecord)
-				continue
-			}
-			_, errs[i] = f.eng.PutSpan(k, values[i], sp)
-		}
-		f.walAppendBatch(keys, values, errs, sp)
-		return errs
+	c := call{op: obs.OpPutBatch, keys: keys, values: values, errs: make([]error, len(keys))}
+	if err := f.run(&c); err != nil {
+		fill(c.errs, err)
 	}
-	defer f.opLock()()
-	errs = make([]error, len(keys))
-	if f.closed {
-		for i := range errs {
-			errs[i] = ErrClosed
-		}
-		return errs
-	}
-	var start time.Time
-	if o != nil {
-		start = time.Now()
-	}
-	if bp, ok := f.eng.(batchPutter); ok {
-		f.putBatchEngine(bp.PutBatch, keys, values, errs)
-	} else {
-		for i, k := range keys {
-			if f.maxRecord > 0 && len(k)+len(values[i]) > f.maxRecord {
-				errs[i] = fmt.Errorf("%w: %d bytes, limit %d (raise SlotBytes or lower BucketCapacity)",
-					ErrRecordTooLarge, len(k)+len(values[i]), f.maxRecord)
-				continue
-			}
-			_, errs[i] = f.eng.Put(k, values[i])
-		}
-	}
-	f.walAppendBatch(keys, values, errs, nil)
-	if o != nil {
-		o.RecordOp(obs.OpPutBatch, time.Since(start))
-	}
-	return errs
+	f.maybeCheckpoint()
+	return c.errs
 }
 
-// putBatchEngine hands the batch to an engine-level PutBatch (plain or
-// span-carrying, via the apply closure), first carving out records over
-// the persistent-file size limit so they fail exactly as single Puts
-// would.
-func (f *File) putBatchEngine(apply func([]string, [][]byte) []error, keys []string, values [][]byte, errs []error) {
-	ks, vs := keys, values
-	var idx []int
-	if f.maxRecord > 0 {
-		ks = make([]string, 0, len(keys))
-		vs = make([][]byte, 0, len(keys))
-		idx = make([]int, 0, len(keys))
-		for i, k := range keys {
-			if len(k)+len(values[i]) > f.maxRecord {
-				errs[i] = fmt.Errorf("%w: %d bytes, limit %d (raise SlotBytes or lower BucketCapacity)",
-					ErrRecordTooLarge, len(k)+len(values[i]), f.maxRecord)
-				continue
-			}
-			ks = append(ks, k)
-			vs = append(vs, values[i])
-			idx = append(idx, i)
-		}
+// admit carves a batch's over-size records out before it reaches the
+// engine, failing them in errs exactly as single Puts would. It returns
+// the records to apply and, when it dropped any, idx mapping each one
+// back to its batch position (nil: the batch passes whole).
+func (f *File) admit(keys []string, values [][]byte, errs []error) (ks []string, vs [][]byte, idx []int) {
+	if f.maxRecord == 0 {
+		return keys, values, nil
 	}
-	for j, err := range apply(ks, vs) {
-		i := j
-		if idx != nil {
-			i = idx[j]
+	ks = make([]string, 0, len(keys))
+	vs = make([][]byte, 0, len(keys))
+	idx = make([]int, 0, len(keys))
+	for i, k := range keys {
+		if errs[i] = f.checkRecord(k, values[i]); errs[i] != nil {
+			continue
 		}
-		errs[i] = mapNotFound(err)
+		ks = append(ks, k)
+		vs = append(vs, values[i])
+		idx = append(idx, i)
 	}
+	return ks, vs, idx
+}
+
+// fill sets every entry of errs to err and returns errs.
+func fill(errs []error, err error) []error {
+	for i := range errs {
+		errs[i] = err
+	}
+	return errs
 }

@@ -188,16 +188,13 @@ func main() {
 }
 
 // put inserts one key, as a staged span when the observer traces spans
-// (-trace-threshold) and as a plain insert otherwise. The span is finished
-// on every return path (deferred; the obsop analyzer enforces it).
+// (-trace-threshold; StartSpan returns nil otherwise). The span is
+// finished on every return path (deferred; the obsop analyzer enforces
+// it).
 func put(o *obs.Observer, f *core.File, k string) error {
-	if !o.SpansEnabled() {
-		_, err := f.Put(k, nil)
-		return err
-	}
 	sp := o.StartSpan(obs.OpPut)
 	defer o.FinishSpan(sp)
-	_, err := f.PutSpan(k, nil, sp)
+	_, err := f.PutOp(k, nil, sp)
 	return err
 }
 

@@ -278,17 +278,25 @@ func TestGoldenV1FutureMetaRefused(t *testing.T) {
 }
 
 // TestFormatDifferential grows one file per format version (and, per
-// version, one per engine) through an identical operation stream and
-// demands: observationally identical content across all four, buckets.th
-// byte-identical between the serial and concurrent engine at the same
-// version, and a strictly smaller v2 bucket file — the compact encoding
-// must change the bytes, not the semantics.
+// version, one per engine, each with span tracing off and on) through an
+// identical operation stream and demands: observationally identical
+// content across all eight, buckets.th byte-identical between the serial
+// and concurrent engine at the same version and between every traced
+// build and its untraced twin, and a strictly smaller v2 bucket file —
+// the compact encoding must change the bytes, not the semantics, and
+// tracing must change neither.
 func TestFormatDifferential(t *testing.T) {
 	type build struct {
 		version    int
 		concurrent bool
+		spans      bool
 	}
-	builds := []build{{1, false}, {1, true}, {2, false}, {2, true}}
+	var builds []build
+	for _, spans := range []bool{false, true} {
+		for _, v := range []int{1, 2} {
+			builds = append(builds, build{v, false, spans}, build{v, true, spans})
+		}
+	}
 	keys := make([]string, 0, 400)
 	for i := 0; i < 400; i++ {
 		keys = append(keys, fmt.Sprintf("user:%04d", i*31%400))
@@ -304,29 +312,32 @@ func TestFormatDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if b.spans {
+			f.Observe(NewObserver(ObserverConfig{Spans: true}))
+		}
 		for i, k := range keys {
 			val := make([]byte, i%29)
 			for j := range val {
 				val[j] = byte('a' + i%26)
 			}
 			if err := f.Put(k, val); err != nil {
-				t.Fatalf("v%d concurrent=%v: put %q: %v", b.version, b.concurrent, k, err)
+				t.Fatalf("%+v: put %q: %v", b, k, err)
 			}
 			if i%5 == 4 {
 				if err := f.Delete(keys[i-2]); err != nil {
-					t.Fatalf("v%d concurrent=%v: delete %q: %v", b.version, b.concurrent, keys[i-2], err)
+					t.Fatalf("%+v: delete %q: %v", b, keys[i-2], err)
 				}
 			}
 		}
 		if err := f.CheckInvariants(); err != nil {
-			t.Fatalf("v%d concurrent=%v: invariants: %v", b.version, b.concurrent, err)
+			t.Fatalf("%+v: invariants: %v", b, err)
 		}
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// All four must serve the same records.
+	// All eight must serve the same records.
 	var want map[string]string
 	for _, b := range builds {
 		f, err := OpenAt(dirs[b])
@@ -349,11 +360,11 @@ func TestFormatDifferential(t *testing.T) {
 			continue
 		}
 		if len(got) != len(want) {
-			t.Fatalf("v%d concurrent=%v holds %d records, want %d", b.version, b.concurrent, len(got), len(want))
+			t.Fatalf("%+v holds %d records, want %d", b, len(got), len(want))
 		}
 		for k, v := range want {
 			if got[k] != v {
-				t.Fatalf("v%d concurrent=%v: %q = %q, want %q", b.version, b.concurrent, k, got[k], v)
+				t.Fatalf("%+v: %q = %q, want %q", b, k, got[k], v)
 			}
 		}
 	}
@@ -366,12 +377,21 @@ func TestFormatDifferential(t *testing.T) {
 		return blob
 	}
 	for _, v := range []int{1, 2} {
-		serial, conc := read(build{v, false}), read(build{v, true})
+		serial, conc := read(build{v, false, false}), read(build{v, true, false})
 		if string(serial) != string(conc) {
 			t.Fatalf("v%d: serial and concurrent buckets.th differ (%d vs %d bytes)", v, len(serial), len(conc))
 		}
 	}
-	if v1, v2 := len(read(build{1, false})), len(read(build{2, false})); v2 >= v1 {
+	for _, b := range builds {
+		if !b.spans {
+			continue
+		}
+		untraced := build{b.version, b.concurrent, false}
+		if traced, plain := read(b), read(untraced); string(traced) != string(plain) {
+			t.Fatalf("%+v: buckets.th differs from the untraced build's (%d vs %d bytes)", b, len(traced), len(plain))
+		}
+	}
+	if v1, v2 := len(read(build{1, false, false})), len(read(build{2, false, false})); v2 >= v1 {
 		t.Fatalf("v2 buckets.th is %d bytes, not smaller than v1's %d", v2, v1)
 	}
 }

@@ -18,8 +18,9 @@ import (
 //   - the set held at every call site (and at every function-literal
 //     definition, which is the held set a closure inherits from its
 //     creator);
-//   - the net set still held on exit (lockSubtrees, LockPair and opLock
-//     all return holding locks, paired with an unlock closure);
+//   - the net set still held on exit (lockSubtrees, LockPair and the
+//     public File.lock all return holding locks, paired with their
+//     release);
 //   - store-I/O events, with Alloc-freshness of the written address;
 //   - exposure flags: does the function (transitively) mutate the
 //     authoritative trie/arena, or write the store, without covering the
@@ -541,8 +542,8 @@ func coversStoreWrite(held []heldInfo) bool {
 }
 
 // returnsUnlockFunc reports whether the function's results include a
-// plain func() — the unlock-closure convention of lockSubtrees/LockPair/
-// opLock, releasing the net set when called.
+// plain func() — the unlock-closure convention of lockSubtrees/LockPair,
+// releasing the net set when called.
 func returnsUnlockFunc(n *funcNode) bool {
 	var sig *types.Signature
 	if n.obj != nil {
@@ -653,7 +654,7 @@ func (s *flowScan) scanStmt(st ast.Stmt, held heldSet) {
 			}
 		}
 	case *ast.DeferStmt:
-		// `defer f.opLock()()`: the inner call runs now (and its net
+		// `defer lockSubtrees(...)()`: the inner call runs now (and its net
 		// acquisitions are held), the returned unlock is deferred. A
 		// deferred Unlock (or unlock closure) keeps the lock held to the
 		// end of the body but releases it at exit — the ids go to
@@ -860,7 +861,7 @@ func (s *flowScan) handleCall(call *ast.CallExpr, held heldSet) {
 		targets: kept, pos: call.Pos(), held: sortedHeld(held),
 	})
 	// The callee's net acquisitions (lockSubtrees' stripes, LockPair's
-	// latch pair, opLock's file lock) are now held here.
+	// latch pair, File.lock's file lock) are now held here.
 	var added []string
 	for _, t := range kept {
 		if t.sum == nil {

@@ -7,10 +7,10 @@ import (
 // ObsOp enforces the observability discipline on the public API.
 //
 // Rule 1 (PR 1): every method that dispatches a data operation to the
-// engine (a call through an `eng` field to Get, Put, Delete, Range, the
-// batches, or their *Span forms) must also route through the obs timing
-// hook — RecordOp, or FinishSpan, which records the whole-op sample when
-// it closes the span. The whole point of the observability layer is that
+// engine (a call through an `eng` field to GetOp, PutOp, DeleteOp,
+// RangeOp or the batches) must also route through the obs timing hook —
+// RecordOp, or FinishSpan, which records the whole-op sample when it
+// closes the span. The whole point of the observability layer is that
 // attaching an Observer covers every operation; a new public method that
 // forwards to the engine but skips the hook would silently fall out of
 // the latency histograms and make "p99 regressed" undiagnosable for
@@ -29,21 +29,15 @@ var ObsOp = &Analyzer{
 	Run:  runObsOp,
 }
 
-// engineOps are the engine methods that correspond to obs.Op samples,
-// plain and span-carrying forms alike.
+// engineOps are the engine methods that correspond to obs.Op samples: one
+// method per operation, each carrying the operation's (nil-able) span.
 var engineOps = map[string]bool{
-	"Get":          true,
-	"Put":          true,
-	"Delete":       true,
-	"Range":        true,
-	"GetBatch":     true,
-	"PutBatch":     true,
-	"GetSpan":      true,
-	"PutSpan":      true,
-	"DeleteSpan":   true,
-	"RangeSpan":    true,
-	"GetBatchSpan": true,
-	"PutBatchSpan": true,
+	"GetOp":      true,
+	"PutOp":      true,
+	"DeleteOp":   true,
+	"RangeOp":    true,
+	"GetBatchOp": true,
+	"PutBatchOp": true,
 }
 
 func runObsOp(pass *Pass) {

@@ -41,7 +41,7 @@ func SetTraceThreshold(d time.Duration) {
 func putSpanned(o *obs.Observer, e *core.ConcurrentFile, k string, v []byte) error {
 	sp := o.StartSpan(obs.OpPut)
 	defer o.FinishSpan(sp)
-	_, err := e.PutSpan(k, v, sp)
+	_, err := e.PutOp(k, v, sp)
 	return err
 }
 

@@ -200,33 +200,47 @@ func (e *ConcurrentFile) lockSubtrees(sp *obs.Span, ks ...int) func() {
 	}
 }
 
-// Get returns the value stored under key. The trie search is lock-free
+// Get is GetOp without a span.
+func (e *ConcurrentFile) Get(key string) ([]byte, error) { return e.GetOp(key, nil) }
+
+// GetOp returns the value stored under key. The trie search is lock-free
 // over the arena; the bucket read happens under the bucket's read latch,
 // with the search re-run there to confirm the key still maps to the
 // latched bucket (a split or merge may have moved it in between).
-func (e *ConcurrentFile) Get(key string) ([]byte, error) {
+//
+// Lock attribution, here and on every path that takes a span: BeginHold
+// is called right after an acquire returns — charging the acquire wait to
+// the wait stage — and EndHold right after the release, charging the
+// residual hold to the hold stage and the full wall occupancy to the
+// per-bucket contention table.
+func (e *ConcurrentFile) GetOp(key string, sp *obs.Span) ([]byte, error) {
 	if err := e.inner.cfg.Alphabet.Validate(key); err != nil {
 		return nil, err
 	}
 	for {
 		leaf := e.arena.Search(key)
+		sp.Mark(obs.StageTrieSearch)
 		if leaf.IsNil() {
 			return nil, ErrNotFound
 		}
 		addr := leaf.Addr()
 		mu := e.latches.Latch(addr)
 		mu.RLock()
+		sp.BeginHold(addr, obs.StageLatchWait)
 		if cur := e.arena.Search(key); cur.IsNil() || cur.Addr() != addr {
 			mu.RUnlock()
+			sp.EndHold(obs.StageLatchHold)
 			continue
 		}
-		b, err := e.inner.view(addr)
+		b, err := e.inner.view(addr, sp)
 		if err != nil {
 			mu.RUnlock()
+			sp.EndHold(obs.StageLatchHold)
 			return nil, err
 		}
 		v, ok := b.Get(key)
 		mu.RUnlock()
+		sp.EndHold(obs.StageLatchHold)
 		if !ok {
 			return nil, ErrNotFound
 		}
@@ -234,35 +248,46 @@ func (e *ConcurrentFile) Get(key string) ([]byte, error) {
 	}
 }
 
-// Put inserts or replaces the record for key. Replacements and inserts
+// Put is PutOp without a span.
+func (e *ConcurrentFile) Put(key string, value []byte) (bool, error) { return e.PutOp(key, value, nil) }
+
+// PutOp inserts or replaces the record for key. Replacements and inserts
 // that fit the bucket touch only that bucket's write latch — the paper's
 // "only the leaf A" writer. An overflow releases the latch and resolves
-// the split on the slow path, under the leaf's subtree stripe.
-func (e *ConcurrentFile) Put(key string, value []byte) (bool, error) {
+// the split on the slow path, under the leaf's subtree stripe, which
+// charges the subtree-stripe and flip-lock stages.
+func (e *ConcurrentFile) PutOp(key string, value []byte, sp *obs.Span) (bool, error) {
 	if err := e.inner.cfg.Alphabet.Validate(key); err != nil {
 		return false, err
 	}
 	for {
 		leaf := e.arena.Search(key)
+		sp.Mark(obs.StageTrieSearch)
 		if leaf.IsNil() {
 			break // no bucket to latch; resolve on the slow path
 		}
 		addr := leaf.Addr()
 		mu := e.latches.Latch(addr)
 		mu.Lock()
+		sp.BeginHold(addr, obs.StageLatchWait)
 		if cur := e.arena.Search(key); cur.IsNil() || cur.Addr() != addr {
 			mu.Unlock()
+			sp.EndHold(obs.StageLatchHold)
 			continue
 		}
 		b, err := e.inner.st.Read(addr)
+		sp.Mark(obs.StageStoreRead)
 		if err != nil {
 			mu.Unlock()
+			sp.EndHold(obs.StageLatchHold)
 			return false, err
 		}
 		replaced := b.Put(key, value)
 		if e.inner.fitsPage(b) {
 			err := e.inner.st.Write(addr, b)
+			sp.Mark(obs.StageStoreWrite)
 			mu.Unlock()
+			sp.EndHold(obs.StageLatchHold)
 			if err != nil {
 				return replaced, err
 			}
@@ -275,9 +300,10 @@ func (e *ConcurrentFile) Put(key string, value []byte) (bool, error) {
 		// the split needs the subtree stripe, which orders before bucket
 		// latches; release and redo on the slow path.
 		mu.Unlock()
+		sp.EndHold(obs.StageLatchHold)
 		break
 	}
-	return e.putSlow(key, value, nil)
+	return e.putSlow(key, value, sp)
 }
 
 // putSlow runs a Put that may split. It locks the leaf's subtree stripe,
@@ -285,7 +311,7 @@ func (e *ConcurrentFile) Put(key string, value []byte) (bool, error) {
 // fresh locks if a concurrent structural change moved the key), and runs
 // the insert; an overflow prepares the split under those locks — the
 // store-expensive part, parallel across subtrees — and publishes it under
-// the flip lock. sp (nil from the plain path) charges the subtree stripe,
+// the flip lock. sp (nil when untraced) charges the subtree stripe,
 // latch and flip-lock waits and holds to their span stages.
 func (e *ConcurrentFile) putSlow(key string, value []byte, sp *obs.Span) (bool, error) {
 	e.world.RLock()
@@ -373,44 +399,57 @@ func (e *ConcurrentFile) publishSplit(rec *preparedSplit, sp *obs.Span) error {
 	return err
 }
 
-// Delete removes the record for key. The removal itself needs only the
+// Delete is DeleteOp without a span.
+func (e *ConcurrentFile) Delete(key string) error { return e.DeleteOp(key, nil) }
+
+// DeleteOp removes the record for key. The removal itself needs only the
 // bucket's write latch; when it leaves the bucket under half full, the
 // guarded maintenance pass (merge or borrow) runs afterwards under the
-// affected subtrees' stripes.
-func (e *ConcurrentFile) Delete(key string) error {
+// affected subtrees' stripes, charged to sp's merge stage.
+func (e *ConcurrentFile) DeleteOp(key string, sp *obs.Span) error {
 	if err := e.inner.cfg.Alphabet.Validate(key); err != nil {
 		return err
 	}
 	for {
 		leaf := e.arena.Search(key)
+		sp.Mark(obs.StageTrieSearch)
 		if leaf.IsNil() {
 			return ErrNotFound
 		}
 		addr := leaf.Addr()
 		mu := e.latches.Latch(addr)
 		mu.Lock()
+		sp.BeginHold(addr, obs.StageLatchWait)
 		if cur := e.arena.Search(key); cur.IsNil() || cur.Addr() != addr {
 			mu.Unlock()
+			sp.EndHold(obs.StageLatchHold)
 			continue
 		}
 		b, err := e.inner.st.Read(addr)
+		sp.Mark(obs.StageStoreRead)
 		if err != nil {
 			mu.Unlock()
+			sp.EndHold(obs.StageLatchHold)
 			return err
 		}
 		if !b.Delete(key) {
 			mu.Unlock()
+			sp.EndHold(obs.StageLatchHold)
 			return ErrNotFound
 		}
-		if err := e.inner.st.Write(addr, b); err != nil {
+		err = e.inner.st.Write(addr, b)
+		sp.Mark(obs.StageStoreWrite)
+		if err != nil {
 			mu.Unlock()
+			sp.EndHold(obs.StageLatchHold)
 			return err
 		}
 		underflow := 2*b.Len() < e.inner.cfg.Capacity
 		mu.Unlock()
+		sp.EndHold(obs.StageLatchHold)
 		e.nkeys.Add(-1)
 		if underflow {
-			return e.maintain(key, nil)
+			return e.maintain(key, sp)
 		}
 		return nil
 	}
@@ -424,8 +463,8 @@ func (e *ConcurrentFile) Delete(key string) error {
 // moved the key or the neighbours in between, it retries with fresh
 // stripes a bounded number of times and otherwise bails out (the next
 // deletion that underflows will try again — single-threaded the retries
-// never fire, so the oracle differential is unaffected). sp (nil from the
-// plain path) charges the stripe waits and, via the per-pass mark, the
+// never fire, so the oracle differential is unaffected). sp (nil when
+// untraced) charges the stripe waits and, via the per-pass mark, the
 // decision work to the merge stage.
 func (e *ConcurrentFile) maintain(key string, sp *obs.Span) error {
 	e.world.RLock()
@@ -623,7 +662,12 @@ func (e *ConcurrentFile) borrowLatched(addr, nbAddr int32, nbIsSucc bool) error 
 	return err
 }
 
-// Range scans [from, to] in key order. It holds the world lock shared
+// Range is RangeOp without a span.
+func (e *ConcurrentFile) Range(from, to string, fn func(key string, value []byte) bool) error {
+	return e.RangeOp(from, to, fn, nil)
+}
+
+// RangeOp scans [from, to] in key order. It holds the world lock shared
 // (excluding only whole-file operations) and the flip lock shared — so
 // trie flips wait, but the store phase of concurrent splits, and every
 // fast-path read and write, proceed unhindered; bucket reads go through
@@ -631,13 +675,18 @@ func (e *ConcurrentFile) borrowLatched(addr, nbAddr int32, nbIsSucc bool) error 
 // flips is what makes the scan sound: the shrunk image of a splitting
 // bucket reaches the store only under the exclusive flip lock, together
 // with the expansion that makes the new bucket reachable, so the walk
-// sees every record exactly once.
-func (e *ConcurrentFile) Range(from, to string, fn func(key string, value []byte) bool) error {
+// sees every record exactly once. The flip lock's wait and hold are
+// charged to sp's struct stages (the scan's own accesses to theirs); the
+// world lock, uncontended outside whole-file operations, is not
+// attributed separately.
+func (e *ConcurrentFile) RangeOp(from, to string, fn func(key string, value []byte) bool, sp *obs.Span) error {
 	e.world.RLock()
 	defer e.world.RUnlock()
 	e.trieMu.RLock()
+	sp.BeginHold(obs.StructLockAddr, obs.StageStructWait)
 	defer e.trieMu.RUnlock()
-	return e.inner.Range(from, to, fn)
+	defer sp.EndHold(obs.StageStructHold)
+	return e.inner.RangeOp(from, to, fn, sp)
 }
 
 // cgroup is one batch work unit: a bucket and the batch indices mapping
@@ -668,20 +717,21 @@ func (e *ConcurrentFile) partitionBatch(keys []string, pending []int) (groups []
 	return groups, nilIdx
 }
 
-// GetBatch looks up many keys in one pass: keys partition by bucket, each
-// bucket latch is taken once per round, and groups fan out over a worker
-// pool. Keys that move between partitioning and latching retry next
-// round — the batch form of the single-key re-validation.
+// GetBatch is GetBatchOp without a span.
 func (e *ConcurrentFile) GetBatch(keys []string) (vals [][]byte, errs []error) {
-	return e.getBatch(keys, nil)
+	return e.GetBatchOp(keys, nil)
 }
 
-// getBatch is the GetBatch body, span-parameterized. The fan-out workers
-// run in parallel and cannot share the span's sequential mark chain, so
-// they record their latch acquisitions through LatchTimers (contention
-// table only); the span gets coarse wave marks — partitioning to
-// trie-search, each latched wave's wall time to latch-hold.
-func (e *ConcurrentFile) getBatch(keys []string, sp *obs.Span) (vals [][]byte, errs []error) {
+// GetBatchOp looks up many keys in one pass: keys partition by bucket,
+// each bucket latch is taken once per round, and groups fan out over a
+// worker pool. Keys that move between partitioning and latching retry
+// next round — the batch form of the single-key re-validation. The
+// fan-out workers run in parallel and cannot share the span's sequential
+// mark chain, so they record their latch acquisitions through
+// LatchTimers (contention table only); the span gets coarse wave marks —
+// partitioning to trie-search, each latched wave's wall time to
+// latch-hold.
+func (e *ConcurrentFile) GetBatchOp(keys []string, sp *obs.Span) (vals [][]byte, errs []error) {
 	o := sp.Observer()
 	vals = make([][]byte, len(keys))
 	errs = make([]error, len(keys))
@@ -718,7 +768,7 @@ func (e *ConcurrentFile) getBatch(keys []string, sp *obs.Span) (vals [][]byte, e
 					continue
 				}
 				if !loaded {
-					b, rerr = e.inner.view(g.addr)
+					b, rerr = e.inner.view(g.addr, nil)
 					loaded = true
 				}
 				if rerr != nil {
@@ -745,7 +795,12 @@ func (e *ConcurrentFile) getBatch(keys []string, sp *obs.Span) (vals [][]byte, e
 	return vals, errs
 }
 
-// PutBatch inserts or replaces many records in one pass. When one batch
+// PutBatch is PutBatchOp without a span.
+func (e *ConcurrentFile) PutBatch(keys []string, values [][]byte) (errs []error) {
+	return e.PutBatchOp(keys, values, nil)
+}
+
+// PutBatchOp inserts or replaces many records in one pass. When one batch
 // names a key several times only the last occurrence is applied, so the
 // final state matches the sequential loop. The fast wave applies every
 // replacement and fitting insert with one latch and one store write per
@@ -754,14 +809,9 @@ func (e *ConcurrentFile) getBatch(keys []string, sp *obs.Span) (vals [][]byte, e
 // parallel (each under its bucket latch, through the shared prepareSplit)
 // and then publishes the trie flips sequentially under the flip lock —
 // batch splits scale across buckets instead of serializing as plain Puts.
-func (e *ConcurrentFile) PutBatch(keys []string, values [][]byte) (errs []error) {
-	return e.putBatch(keys, values, nil)
-}
-
-// putBatch is the PutBatch body, span-parameterized with the same coarse
-// attribution as getBatch; the slow wave's rounds are charged to the
-// split stage.
-func (e *ConcurrentFile) putBatch(keys []string, values [][]byte, sp *obs.Span) (errs []error) {
+// sp gets the same coarse attribution as GetBatchOp; the slow wave's
+// rounds are charged to the split stage.
+func (e *ConcurrentFile) PutBatchOp(keys []string, values [][]byte, sp *obs.Span) (errs []error) {
 	if len(keys) != len(values) {
 		panic(fmt.Sprintf("core: PutBatch with %d keys but %d values", len(keys), len(values)))
 	}
@@ -877,7 +927,7 @@ func (e *ConcurrentFile) putBatch(keys []string, values [][]byte, sp *obs.Span) 
 // barrier — publishes the trie flips sequentially under the flip lock and
 // releases the held latches and stripes. Keys left over by a split, or
 // moved by a concurrent structural change, re-partition in the next
-// round. sp (nil from the plain path) charges the whole slow wave to the
+// round. sp (nil when untraced) charges the whole slow wave to the
 // split stage; workers record their latches, and the round its stripes,
 // through LatchTimers.
 func (e *ConcurrentFile) putBatchSlow(keys []string, values [][]byte, slow []int, errs []error, workers int, sp *obs.Span) {

@@ -73,12 +73,21 @@ func (f *File) resolveStore() *File {
 }
 
 // view reads bucket addr read-only through the cheapest path the store
-// offers: ReadView (no clone) when the store has one, Read otherwise.
-func (f *File) view(addr int32) (*bucket.Bucket, error) {
-	if f.viewer != nil {
-		return f.viewer.ReadView(addr)
+// offers: ReadView (no clone) when the store has one, Read otherwise. With
+// a span the store's span-aware viewer, when it has one, splits the access
+// into cache-probe vs store-read; otherwise the whole access is charged to
+// store-read.
+func (f *File) view(addr int32, sp *obs.Span) (b *bucket.Bucket, err error) {
+	switch {
+	case sp != nil && f.spanViewer != nil:
+		return f.spanViewer.ReadViewSpan(addr, sp)
+	case f.viewer != nil:
+		b, err = f.viewer.ReadView(addr)
+	default:
+		b, err = f.st.Read(addr)
 	}
-	return f.st.Read(addr)
+	sp.Mark(obs.StageStoreRead)
+	return b, err
 }
 
 // emit sends a structural event, stamping it with the cheap O(1) state
@@ -154,20 +163,27 @@ func (f *File) Splits() int { return f.splits }
 // into existing buckets.
 func (f *File) Redistributions() int { return f.redistributions }
 
-// Get returns the value stored under key. A search through an in-core trie
-// costs at most one bucket read — zero when the key falls on a nil leaf.
-// Read-only lookups go through the store's ReadView when it has one, so a
-// store exposing immutable snapshots (the buffer pools) serves the hit
-// without copying the bucket.
-func (f *File) Get(key string) ([]byte, error) {
+// Get is GetOp without a span.
+func (f *File) Get(key string) ([]byte, error) { return f.GetOp(key, nil) }
+
+// GetOp returns the value stored under key. A search through an in-core
+// trie costs at most one bucket read — zero when the key falls on a nil
+// leaf. Read-only lookups go through the store's ReadView when it has one,
+// so a store exposing immutable snapshots (the buffer pools) serves the
+// hit without copying the bucket. sp, when non-nil, is charged the
+// trie-search and store-read stages; core never reads the clock itself
+// (the determinism analyzer forbids it), every timestamp is taken behind
+// Span's methods.
+func (f *File) GetOp(key string, sp *obs.Span) ([]byte, error) {
 	if err := f.cfg.Alphabet.Validate(key); err != nil {
 		return nil, err
 	}
 	leaf := f.trie.SearchAddr(key)
+	sp.Mark(obs.StageTrieSearch)
 	if leaf.IsNil() {
 		return nil, ErrNotFound
 	}
-	b, err := f.view(leaf.Addr())
+	b, err := f.view(leaf.Addr(), sp)
 	if err != nil {
 		return nil, err
 	}
@@ -191,13 +207,20 @@ func (f *File) Has(key string) (bool, error) {
 	}
 }
 
-// Put inserts or replaces the record for key, splitting the target bucket
-// on overflow, and reports whether an existing record was replaced.
-func (f *File) Put(key string, value []byte) (bool, error) {
+// Put is PutOp without a span.
+func (f *File) Put(key string, value []byte) (bool, error) { return f.PutOp(key, value, nil) }
+
+// PutOp inserts or replaces the record for key, splitting the target
+// bucket on overflow, and reports whether an existing record was
+// replaced. Split work is charged to sp's split stage, or to the
+// redistribute stage when the overflow resolved by shifting keys into an
+// existing neighbour.
+func (f *File) PutOp(key string, value []byte, sp *obs.Span) (bool, error) {
 	if err := f.cfg.Alphabet.Validate(key); err != nil {
 		return false, err
 	}
 	res := f.trie.Search(key)
+	sp.Mark(obs.StageTrieSearch)
 	if res.Leaf.IsNil() {
 		// Basic method: first insertion choosing a nil leaf allocates
 		// its bucket (Section 2.3). The bucket is written before the
@@ -209,7 +232,9 @@ func (f *File) Put(key string, value []byte) (bool, error) {
 		b := bucket.New(f.cfg.Capacity)
 		b.SetBound(res.Path) // the nil leaf's logical path (TOR83 header)
 		b.Put(key, value)
-		if err := f.st.Write(addr, b); err != nil {
+		err = f.st.Write(addr, b)
+		sp.Mark(obs.StageStoreWrite)
+		if err != nil {
 			f.freeBestEffort(addr)
 			return false, err
 		}
@@ -220,12 +245,15 @@ func (f *File) Put(key string, value []byte) (bool, error) {
 	}
 	addr := res.Leaf.Addr()
 	b, err := f.st.Read(addr)
+	sp.Mark(obs.StageStoreRead)
 	if err != nil {
 		return false, err
 	}
 	replaced := b.Put(key, value)
 	if f.fitsPage(b) {
-		if err := f.st.Write(addr, b); err != nil {
+		err := f.st.Write(addr, b)
+		sp.Mark(obs.StageStoreWrite)
+		if err != nil {
 			return replaced, err
 		}
 		if !replaced {
@@ -235,7 +263,14 @@ func (f *File) Put(key string, value []byte) (bool, error) {
 	}
 	// Overflow: over the record count, or — with the byte budget armed — a
 	// replacement whose grown value no longer encodes into the slot.
-	if err := f.split(addr, b); err != nil {
+	rd := f.redistributions
+	err = f.split(addr, b)
+	if f.redistributions > rd {
+		sp.Mark(obs.StageRedistribute)
+	} else {
+		sp.Mark(obs.StageSplit)
+	}
+	if err != nil {
 		return replaced, err
 	}
 	if !replaced {
@@ -244,43 +279,58 @@ func (f *File) Put(key string, value []byte) (bool, error) {
 	return replaced, nil
 }
 
-// Delete removes the record for key and runs the configured merge
-// maintenance. It returns ErrNotFound when the key is absent.
-func (f *File) Delete(key string) error {
+// Delete is DeleteOp without a span.
+func (f *File) Delete(key string) error { return f.DeleteOp(key, nil) }
+
+// DeleteOp removes the record for key and runs the configured merge
+// maintenance, charged to sp's merge stage. It returns ErrNotFound when
+// the key is absent.
+func (f *File) DeleteOp(key string, sp *obs.Span) error {
 	if err := f.cfg.Alphabet.Validate(key); err != nil {
 		return err
 	}
 	res := f.trie.Search(key)
+	sp.Mark(obs.StageTrieSearch)
 	if res.Leaf.IsNil() {
 		return ErrNotFound
 	}
 	addr := res.Leaf.Addr()
 	b, err := f.st.Read(addr)
+	sp.Mark(obs.StageStoreRead)
 	if err != nil {
 		return err
 	}
 	if !b.Delete(key) {
 		return ErrNotFound
 	}
-	if err := f.st.Write(addr, b); err != nil {
+	err = f.st.Write(addr, b)
+	sp.Mark(obs.StageStoreWrite)
+	if err != nil {
 		return err
 	}
 	f.nkeys--
-	return f.maintainAfterDelete(res, addr, b)
+	err = f.maintainAfterDelete(res, addr, b)
+	sp.Mark(obs.StageMerge)
+	return err
 }
 
-// Range calls fn for every record with from <= key <= to in ascending key
-// order until fn returns false. An empty to means "to the end of the
+// Range is RangeOp without a span.
+func (f *File) Range(from, to string, fn func(key string, value []byte) bool) error {
+	return f.RangeOp(from, to, fn, nil)
+}
+
+// RangeOp calls fn for every record with from <= key <= to in ascending
+// key order until fn returns false. An empty to means "to the end of the
 // file". Because the file is key-ordered, the scan reads each qualifying
 // bucket exactly once — consecutive shared leaves of a THCL file cost
-// nothing extra.
-func (f *File) Range(from, to string, fn func(key string, value []byte) bool) error {
+// nothing extra. Walk time between bucket accesses is charged to sp's
+// trie-search stage, the accesses themselves to cache-probe/store-read.
+func (f *File) RangeOp(from, to string, fn func(key string, value []byte) bool, sp *obs.Span) error {
 	if to != "" && to < from {
 		return nil
 	}
 	alpha := f.cfg.Alphabet
 	lastRead := int32(-1)
-	stop := false
 	var walkErr error
 	f.trie.WalkLeavesFrom(from, func(lp trie.LeafPos) bool {
 		// Leaf covers (previous bound, lp.Path]; skip while the upper
@@ -295,13 +345,13 @@ func (f *File) Range(from, to string, fn func(key string, value []byte) bool) er
 		addr := lp.Leaf.Addr()
 		if addr != lastRead {
 			lastRead = addr
-			b, err := f.view(addr)
+			sp.Mark(obs.StageTrieSearch)
+			b, err := f.view(addr, sp)
 			if err != nil {
 				walkErr = err
 				return false
 			}
 			if !b.Ascend(from, to, func(r bucket.Record) bool { return fn(r.Key, r.Value) }) {
-				stop = true
 				return false
 			}
 		}
@@ -311,11 +361,8 @@ func (f *File) Range(from, to string, fn func(key string, value []byte) bool) er
 		}
 		return true
 	})
-	if walkErr != nil {
-		return walkErr
-	}
-	_ = stop
-	return nil
+	sp.Mark(obs.StageTrieSearch)
+	return walkErr
 }
 
 // Min returns the smallest key in the file.
@@ -344,7 +391,7 @@ func (f *File) Max() (string, error) {
 			continue
 		}
 		last = addr
-		b, err := f.view(addr)
+		b, err := f.view(addr, nil)
 		if err != nil {
 			return "", err
 		}

@@ -220,16 +220,25 @@ func (f *File) locate(key string) (path []int32, res trie.SearchResult) {
 	}
 }
 
-// Get returns the value stored under key.
-func (f *File) Get(key string) ([]byte, error) {
+// Get is GetOp without a span.
+func (f *File) Get(key string) ([]byte, error) { return f.GetOp(key, nil) }
+
+// GetOp returns the value stored under key. The multilevel locate — page
+// traversal included — is charged to sp's trie-search stage: pages are
+// trie nodes here, and their reads are counted separately by the
+// page-read counter. mlth is a deterministic package, so all clock reads
+// stay behind the span's methods.
+func (f *File) GetOp(key string, sp *obs.Span) ([]byte, error) {
 	if err := f.cfg.Alphabet.Validate(key); err != nil {
 		return nil, err
 	}
 	_, res := f.locate(key)
+	sp.Mark(obs.StageTrieSearch)
 	if res.Leaf.IsNil() {
 		return nil, ErrNotFound
 	}
 	b, err := f.st.Read(res.Leaf.Addr())
+	sp.Mark(obs.StageStoreRead)
 	if err != nil {
 		return nil, err
 	}
@@ -240,13 +249,18 @@ func (f *File) Get(key string) ([]byte, error) {
 	return v, nil
 }
 
-// Put inserts or replaces the record for key and reports whether an
-// existing record was replaced.
-func (f *File) Put(key string, value []byte) (bool, error) {
+// Put is PutOp without a span.
+func (f *File) Put(key string, value []byte) (bool, error) { return f.PutOp(key, value, nil) }
+
+// PutOp inserts or replaces the record for key and reports whether an
+// existing record was replaced. Bucket and page splits are charged to
+// sp's split stage.
+func (f *File) PutOp(key string, value []byte, sp *obs.Span) (bool, error) {
 	if err := f.cfg.Alphabet.Validate(key); err != nil {
 		return false, err
 	}
 	path, res := f.locate(key)
+	sp.Mark(obs.StageTrieSearch)
 	filePage := path[len(path)-1]
 	if res.Leaf.IsNil() {
 		addr, err := f.st.Alloc()
@@ -256,7 +270,9 @@ func (f *File) Put(key string, value []byte) (bool, error) {
 		b := bucket.New(f.cfg.Capacity)
 		b.SetBound(res.Path)
 		b.Put(key, value)
-		if err := f.st.Write(addr, b); err != nil {
+		err = f.st.Write(addr, b)
+		sp.Mark(obs.StageStoreWrite)
+		if err != nil {
 			return false, err
 		}
 		f.pages[filePage].tr.AllocNil(res.Pos, addr)
@@ -265,14 +281,19 @@ func (f *File) Put(key string, value []byte) (bool, error) {
 	}
 	addr := res.Leaf.Addr()
 	b, err := f.st.Read(addr)
+	sp.Mark(obs.StageStoreRead)
 	if err != nil {
 		return false, err
 	}
 	if b.Put(key, value) {
-		return true, f.st.Write(addr, b)
+		err := f.st.Write(addr, b)
+		sp.Mark(obs.StageStoreWrite)
+		return true, err
 	}
 	if b.Len() <= f.cfg.Capacity {
-		if err := f.st.Write(addr, b); err != nil {
+		err := f.st.Write(addr, b)
+		sp.Mark(obs.StageStoreWrite)
+		if err != nil {
 			return false, err
 		}
 		f.nkeys++
@@ -283,6 +304,7 @@ func (f *File) Put(key string, value []byte) (bool, error) {
 	} else {
 		err = f.splitBucket(path, res, addr, b)
 	}
+	sp.Mark(obs.StageSplit)
 	if err != nil {
 		return false, err
 	}
@@ -290,19 +312,25 @@ func (f *File) Put(key string, value []byte) (bool, error) {
 	return false, nil
 }
 
-// Delete removes the record for key. The multilevel scheme leaves bucket
-// merging to the single-level method (the paper studies deletions there);
-// an emptied bucket's leaf simply becomes nil and the bucket is freed.
-func (f *File) Delete(key string) error {
+// Delete is DeleteOp without a span.
+func (f *File) Delete(key string) error { return f.DeleteOp(key, nil) }
+
+// DeleteOp removes the record for key. The multilevel scheme leaves
+// bucket merging to the single-level method (the paper studies deletions
+// there); an emptied bucket's leaf simply becomes nil and the bucket is
+// freed, which sp's merge stage is charged with.
+func (f *File) DeleteOp(key string, sp *obs.Span) error {
 	if err := f.cfg.Alphabet.Validate(key); err != nil {
 		return err
 	}
 	path, res := f.locate(key)
+	sp.Mark(obs.StageTrieSearch)
 	if res.Leaf.IsNil() {
 		return ErrNotFound
 	}
 	addr := res.Leaf.Addr()
 	b, err := f.st.Read(addr)
+	sp.Mark(obs.StageStoreRead)
 	if err != nil {
 		return err
 	}
@@ -310,18 +338,43 @@ func (f *File) Delete(key string) error {
 		return ErrNotFound
 	}
 	if b.Len() == 0 && f.cfg.Mode == trie.ModeBasic && f.pages[path[len(path)-1]].tr.LeafCount(addr) == 1 {
-		if err := f.st.Free(addr); err != nil {
+		err := f.st.Free(addr)
+		sp.Mark(obs.StageMerge)
+		if err != nil {
 			return err
 		}
 		f.pages[path[len(path)-1]].tr.FreeToNil(res.Pos)
 		f.nkeys--
 		return nil
 	}
-	if err := f.st.Write(addr, b); err != nil {
+	err = f.st.Write(addr, b)
+	sp.Mark(obs.StageStoreWrite)
+	if err != nil {
 		return err
 	}
 	f.nkeys--
 	return nil
+}
+
+// GetBatchOp looks up many keys, one GetOp each: the paged trie has no
+// partition pass cheaper than a locate per key. Results align with keys.
+func (f *File) GetBatchOp(keys []string, sp *obs.Span) (vals [][]byte, errs []error) {
+	vals = make([][]byte, len(keys))
+	errs = make([]error, len(keys))
+	for i, k := range keys {
+		vals[i], errs[i] = f.GetOp(k, sp)
+	}
+	return vals, errs
+}
+
+// PutBatchOp applies the records in input order, one PutOp each, so a key
+// named twice ends with its later value.
+func (f *File) PutBatchOp(keys []string, values [][]byte, sp *obs.Span) []error {
+	errs := make([]error, len(keys))
+	for i, k := range keys {
+		_, errs[i] = f.PutOp(k, values[i], sp)
+	}
+	return errs
 }
 
 // splitBucket performs the basic method's Algorithm A2 inside the file-
@@ -426,10 +479,18 @@ func (f *File) splitPage(pid, parent int32) {
 	f.pages[parent].tr.ReplaceLeafWithCell(pos, cell, trie.Leaf(pid), trie.Leaf(newID))
 }
 
-// Range calls fn for every record with from <= key <= to (empty to = no
-// upper bound) in ascending key order until fn returns false.
+// Range is RangeOp without a span.
 func (f *File) Range(from, to string, fn func(key string, value []byte) bool) error {
+	return f.RangeOp(from, to, fn, nil)
+}
+
+// RangeOp calls fn for every record with from <= key <= to (empty to = no
+// upper bound) in ascending key order until fn returns false. Walk time
+// between bucket reads is charged to sp's trie-search stage, the reads to
+// store-read.
+func (f *File) RangeOp(from, to string, fn func(key string, value []byte) bool, sp *obs.Span) error {
 	_, start := f.locate(from)
+	sp.Mark(obs.StageTrieSearch)
 	started := start.Leaf.IsNil() // a nil start leaf: begin at the next real bucket
 	startAddr := int32(-1)
 	if !start.Leaf.IsNil() {
@@ -443,7 +504,9 @@ func (f *File) Range(from, to string, fn func(key string, value []byte) bool) er
 			}
 			started = true
 		}
+		sp.Mark(obs.StageTrieSearch)
 		b, err := f.st.Read(addr)
+		sp.Mark(obs.StageStoreRead)
 		if err != nil {
 			scanErr = err
 			return false
@@ -453,6 +516,7 @@ func (f *File) Range(from, to string, fn func(key string, value []byte) bool) er
 		}
 		return b.Ascend(from, to, func(r bucket.Record) bool { return fn(r.Key, r.Value) })
 	})
+	sp.Mark(obs.StageTrieSearch)
 	return scanErr
 }
 

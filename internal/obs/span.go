@@ -115,9 +115,7 @@ func Stages() []Stage {
 const maxHoldDepth = 6
 
 // holdFrame is one lock acquisition a span is currently inside. Times are
-// nanoseconds elapsed since the span started (the span reads the wall
-// clock once, at StartSpan; everything after is time.Since arithmetic,
-// which costs one monotonic clock read instead of time.Now's two).
+// nanoseconds elapsed since the span started.
 type holdFrame struct {
 	addr     int32 // bucket address, or -1 for the structural lock
 	acquired int64 // ns since span start when the lock was acquired
@@ -141,7 +139,7 @@ type holdFrame struct {
 type Span struct {
 	op      Op
 	o       *Observer
-	start   time.Time
+	start   int64            // monotonic ns (since clockBase) at StartSpan
 	last    int64            // ns elapsed since start at the previous mark
 	touched uint32           // bitmask of stages charged (numStages <= 32)
 	stages  [numStages]int64 // ns charged per stage
@@ -152,11 +150,18 @@ type Span struct {
 	worstWait int64
 }
 
-// elapsed returns nanoseconds since the span started: the one clock read
-// every mark performs. time.Since on a monotonic time.Time compiles to a
-// single runtime nanotime call, measurably cheaper than time.Now (which
-// also reads the wall clock).
-func (sp *Span) elapsed() int64 { return int64(time.Since(sp.start)) }
+// clockBase anchors span timestamps. Spans never need the wall clock, so
+// every timestamp, the start included, is time.Since(clockBase): a single
+// monotonic clock read, measurably cheaper than time.Now (which also
+// reads the wall clock).
+var clockBase = time.Now()
+
+// monotonic returns nanoseconds since clockBase: the one clock read every
+// span timestamp costs.
+func monotonic() int64 { return int64(time.Since(clockBase)) }
+
+// elapsed returns nanoseconds since the span started.
+func (sp *Span) elapsed() int64 { return monotonic() - sp.start }
 
 // Op returns the operation the span times.
 func (sp *Span) Op() Op {
@@ -177,11 +182,18 @@ func (sp *Span) Observer() *Observer {
 }
 
 // Mark charges the interval since the previous mark to stage and returns
-// it. One clock read; nil-safe.
+// it. One clock read; nil-safe. Mark, BeginHold and EndHold are split into
+// an inlinable nil check and an outlined body, so the nil span every
+// untraced operation passes through the engines costs a compare, not a
+// call.
 func (sp *Span) Mark(stage Stage) time.Duration {
 	if sp == nil {
 		return 0
 	}
+	return sp.mark(stage)
+}
+
+func (sp *Span) mark(stage Stage) time.Duration {
 	el := sp.elapsed()
 	d := el - sp.last
 	sp.stages[stage] += d
@@ -205,9 +217,12 @@ func (sp *Span) Add(stage Stage, d time.Duration) {
 // a hold frame opens for the matching EndHold. addr is the latched bucket,
 // or -1 for the structural lock. Call it immediately after Lock returns.
 func (sp *Span) BeginHold(addr int32, waitStage Stage) {
-	if sp == nil {
-		return
+	if sp != nil {
+		sp.beginHold(addr, waitStage)
 	}
+}
+
+func (sp *Span) beginHold(addr int32, waitStage Stage) {
 	el := sp.elapsed()
 	wait := el - sp.last
 	sp.stages[waitStage] += wait
@@ -228,9 +243,12 @@ func (sp *Span) BeginHold(addr int32, waitStage Stage) {
 // stages included — is recorded in the observer's contention table. Call
 // it immediately after Unlock.
 func (sp *Span) EndHold(holdStage Stage) {
-	if sp == nil {
-		return
+	if sp != nil {
+		sp.endHold(holdStage)
 	}
+}
+
+func (sp *Span) endHold(holdStage Stage) {
 	el := sp.elapsed()
 	sp.stages[holdStage] += el - sp.last
 	sp.touched |= 1 << holdStage
@@ -342,6 +360,10 @@ func (o *Observer) StartSpan(op Op) *Span {
 	if o == nil || !o.cfg.Spans {
 		return nil
 	}
+	return o.startSpan(op)
+}
+
+func (o *Observer) startSpan(op Op) *Span {
 	sp, _ := o.spanPool.Get().(*Span)
 	if sp == nil {
 		sp = &Span{}
@@ -352,7 +374,7 @@ func (o *Observer) StartSpan(op Op) *Span {
 	sp.op, sp.o = op, o
 	sp.last, sp.touched, sp.nholds = 0, 0, 0
 	sp.worstAddr, sp.worstWait = -1, 0
-	sp.start = time.Now()
+	sp.start = monotonic()
 	return sp
 }
 
@@ -362,9 +384,12 @@ func (o *Observer) StartSpan(op Op) *Span {
 // clears the slow-op threshold — the full breakdown is captured in the
 // flight recorder. The span returns to the pool; do not use it afterwards.
 func (o *Observer) FinishSpan(sp *Span) {
-	if o == nil || sp == nil {
-		return
+	if o != nil && sp != nil {
+		o.finishSpan(sp)
 	}
+}
+
+func (o *Observer) finishSpan(sp *Span) {
 	el := sp.elapsed()
 	if res := el - sp.last; res > 0 {
 		sp.stages[StageOther] += res

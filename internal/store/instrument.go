@@ -27,10 +27,10 @@ type TaggedViewer interface {
 	ReadViewTagged(addr int32) (*bucket.Bucket, bool, error)
 }
 
-// SpanViewer is the span-aware read-view capability the engines' span
-// paths use: like Viewer's ReadView, but charging the access to the
-// span's cache-probe or store-read stage. A nil span degrades to a plain
-// ReadView. The Instrumented wrapper implements it.
+// SpanViewer is the span-aware read-view capability the engines use when
+// an operation carries a span: like Viewer's ReadView, but charging the
+// access to the span's cache-probe or store-read stage. A nil span
+// degrades to a plain ReadView. The Instrumented wrapper implements it.
 type SpanViewer interface {
 	ReadViewSpan(addr int32, sp *obs.Span) (*bucket.Bucket, error)
 }

@@ -19,7 +19,9 @@ var publicOps = []Op{OpGet, OpPut, OpDelete, OpRange, OpGetBatch, OpPutBatch}
 // residual lands in StageOther, so in aggregate the per-stage histogram
 // sums equal the public operations' histogram sums to the nanosecond.
 // (OpRead/OpWrite are store-level samples, not span totals, and stay out
-// of the comparison.)
+// of the comparison.) Every public operation, readers included, waits for
+// the file lock inside its span, so the file_lock stage holds exactly one
+// sample per span.
 func TestSpanStagesSumToWholeOp(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -89,6 +91,9 @@ func TestSpanStagesSumToWholeOp(t *testing.T) {
 			if stageSum != opSum {
 				t.Errorf("stage charges sum to %v but whole-op totals sum to %v (diff %v over %d spans)",
 					stageSum, opSum, stageSum-opSum, spans)
+			}
+			if n := o.Stage(obs.StageFileLock).Count(); n != spans {
+				t.Errorf("file_lock stage has %d samples, want one per public span (%d)", n, spans)
 			}
 		})
 	}

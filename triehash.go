@@ -247,19 +247,17 @@ func (o Options) mlthConfig() mlth.Config {
 	}
 }
 
-// engine is the operation set both variants implement. The *Span forms
-// are the same operations carrying a stage-tracing span (obs.Config.Spans)
-// — the public layer dispatches to them when the attached observer has
-// spans on, so the plain forms stay the measured zero-overhead path.
+// engine is the operation set every engine implements: one method per
+// operation, each taking the operation's span. The span is nil unless the
+// attached observer traces spans (obs.Config.Spans); a nil span no-ops
+// every mark, so untraced operations run the same bodies.
 type engine interface {
-	Put(key string, value []byte) (bool, error)
-	Get(key string) ([]byte, error)
-	Delete(key string) error
-	Range(from, to string, fn func(key string, value []byte) bool) error
-	PutSpan(key string, value []byte, sp *obs.Span) (bool, error)
-	GetSpan(key string, sp *obs.Span) ([]byte, error)
-	DeleteSpan(key string, sp *obs.Span) error
-	RangeSpan(from, to string, fn func(key string, value []byte) bool, sp *obs.Span) error
+	GetOp(key string, sp *obs.Span) ([]byte, error)
+	PutOp(key string, value []byte, sp *obs.Span) (bool, error)
+	DeleteOp(key string, sp *obs.Span) error
+	RangeOp(from, to string, fn func(key string, value []byte) bool, sp *obs.Span) error
+	GetBatchOp(keys []string, sp *obs.Span) ([][]byte, []error)
+	PutBatchOp(keys []string, values [][]byte, sp *obs.Span) []error
 	Len() int
 	Store() store.Store
 	SaveMeta() []byte
@@ -492,20 +490,6 @@ func (f *File) adoptConcurrent(c *core.File) (*File, error) {
 	f.concurrent = true
 	f.conc, f.eng = ce, ce
 	return f, nil
-}
-
-// opLock locks the file for one point operation: exclusive under the
-// global-lock engines, shared under the concurrent engine (whose bucket
-// latches isolate writers from each other, leaving the exclusive side to
-// maintenance — Sync, Close, Scrub, CheckInvariants). It returns the
-// matching unlock.
-func (f *File) opLock() func() {
-	if f.concurrent {
-		f.mu.RLock()
-		return f.mu.RUnlock
-	}
-	f.mu.Lock()
-	return f.mu.Unlock
 }
 
 // BulkLoad builds a file in one pass from records supplied in strictly
@@ -801,83 +785,122 @@ func salvageAt(dir string, opts Options, cause error) (*File, error) {
 // len(key)+len(value) cannot be guaranteed to fit the bucket slot.
 var ErrRecordTooLarge = errors.New("triehash: record too large for the configured SlotBytes")
 
+// checkRecord is the persistent file's record-size gate: a record whose
+// key and value together exceed maxRecord cannot be guaranteed to fit its
+// bucket slot.
+func (f *File) checkRecord(key string, value []byte) error {
+	if n := len(key) + len(value); f.maxRecord > 0 && n > f.maxRecord {
+		return fmt.Errorf("%w: %d bytes, limit %d (raise SlotBytes or lower BucketCapacity)",
+			ErrRecordTooLarge, n, f.maxRecord)
+	}
+	return nil
+}
+
+// call is one public data operation in flight: which operation, its
+// arguments and, once run returns, its results. Every exported data
+// operation fills one in and hands it to run.
+type call struct {
+	op     obs.Op
+	key    string // Get, Put, Delete; Range's lower bound
+	to     string // Range's upper bound
+	value  []byte // Put's record; Get's result
+	fn     func(key string, value []byte) bool
+	keys   []string
+	values [][]byte // PutBatch's records; GetBatch's results
+	errs   []error  // the batches' per-record results
+}
+
+// run is the one path every public data operation takes. The prologue
+// starts the operation's span (spans on) or clock (histograms only)
+// before taking the file lock, so span totals and histogram samples both
+// cover the lock wait — a stall behind a checkpoint included — and the
+// span charges that wait to its file_lock stage; then a closed file
+// fails. The body dispatches to the engine and logs mutations to the WAL.
+// The epilogue releases the lock and records the sample: FinishSpan for
+// a span, RecordOp for a histogram clock.
+func (f *File) run(c *call) error {
+	o := f.hook.Observer()
+	sp := o.StartSpan(c.op)
+	defer o.FinishSpan(sp)
+	if sp == nil && o != nil {
+		defer recordSince(o, c.op, time.Now())
+	}
+	unlock := f.lock(c.op)
+	defer unlock(&f.mu)
+	sp.Mark(obs.StageFileLock)
+	if f.closed {
+		return ErrClosed
+	}
+	var err error
+	switch c.op {
+	case obs.OpGet:
+		c.value, err = f.eng.GetOp(c.key, sp)
+	case obs.OpRange:
+		err = f.eng.RangeOp(c.key, c.to, c.fn, sp)
+	case obs.OpGetBatch:
+		c.values, c.errs = f.eng.GetBatchOp(c.keys, sp)
+		for i, e := range c.errs {
+			c.errs[i] = mapNotFound(e)
+		}
+	case obs.OpPut:
+		if err = f.checkRecord(c.key, c.value); err == nil {
+			if _, err = f.eng.PutOp(c.key, c.value, sp); err == nil {
+				err = f.walAppend(wal.OpPut, c.key, c.value, sp)
+			}
+		}
+	case obs.OpDelete:
+		if err = f.eng.DeleteOp(c.key, sp); err == nil {
+			err = f.walAppend(wal.OpDelete, c.key, nil, sp)
+		}
+	case obs.OpPutBatch:
+		ks, vs, idx := f.admit(c.keys, c.values, c.errs)
+		for j, e := range f.eng.PutBatchOp(ks, vs, sp) {
+			i := j
+			if idx != nil {
+				i = idx[j]
+			}
+			c.errs[i] = mapNotFound(e)
+		}
+		f.walAppendBatch(c.keys, c.values, c.errs, sp)
+	}
+	return mapNotFound(err)
+}
+
+// lock takes the file lock for one operation: shared for reads, and for
+// writes under the concurrent engine (whose bucket latches isolate
+// writers from each other, leaving the exclusive side to maintenance —
+// Sync, Close, Scrub, CheckInvariants); exclusive for writes otherwise.
+// It returns the matching release as a method expression, which — unlike
+// a bound f.mu.Unlock — costs no allocation.
+func (f *File) lock(op obs.Op) func(*sync.RWMutex) {
+	if f.concurrent || op == obs.OpGet || op == obs.OpRange || op == obs.OpGetBatch {
+		f.mu.RLock()
+		return (*sync.RWMutex).RUnlock
+	}
+	f.mu.Lock()
+	return (*sync.RWMutex).Unlock
+}
+
+// recordSince records a histogram-only observer's sample of op, timed
+// from start.
+func recordSince(o *obs.Observer, op obs.Op, start time.Time) {
+	o.RecordOp(op, time.Since(start))
+}
+
 // Put inserts or replaces the record for key. With Options.WAL the call
 // returns only after the record is durable in the log (group-committed
 // alongside concurrent writers).
 func (f *File) Put(key string, value []byte) error {
-	err := f.putOp(key, value)
+	err := f.run(&call{op: obs.OpPut, key: key, value: value})
 	f.maybeCheckpoint()
-	return err
-}
-
-func (f *File) putOp(key string, value []byte) error {
-	// One atomic load decides instrumentation; the disabled path costs a
-	// nil check and allocates nothing. With spans on, the span starts
-	// before the file lock so the lock wait is a measured stage, and
-	// FinishSpan records the whole-op latency.
-	o := f.hook.Observer()
-	if sp := o.StartSpan(obs.OpPut); sp != nil {
-		defer o.FinishSpan(sp)
-		defer f.opLock()()
-		sp.Mark(obs.StageFileLock)
-		if f.closed {
-			return ErrClosed
-		}
-		if f.maxRecord > 0 && len(key)+len(value) > f.maxRecord {
-			return fmt.Errorf("%w: %d bytes, limit %d (raise SlotBytes or lower BucketCapacity)",
-				ErrRecordTooLarge, len(key)+len(value), f.maxRecord)
-		}
-		_, err := f.eng.PutSpan(key, value, sp)
-		if err == nil {
-			err = f.walAppend(wal.OpPut, key, value, sp)
-		}
-		return err
-	}
-	defer f.opLock()()
-	if f.closed {
-		return ErrClosed
-	}
-	if f.maxRecord > 0 && len(key)+len(value) > f.maxRecord {
-		return fmt.Errorf("%w: %d bytes, limit %d (raise SlotBytes or lower BucketCapacity)",
-			ErrRecordTooLarge, len(key)+len(value), f.maxRecord)
-	}
-	if o == nil {
-		_, err := f.eng.Put(key, value)
-		if err == nil {
-			err = f.walAppend(wal.OpPut, key, value, nil)
-		}
-		return err
-	}
-	start := time.Now()
-	_, err := f.eng.Put(key, value)
-	if err == nil {
-		err = f.walAppend(wal.OpPut, key, value, nil)
-	}
-	o.RecordOp(obs.OpPut, time.Since(start))
 	return err
 }
 
 // Get returns the value stored under key, or ErrNotFound.
 func (f *File) Get(key string) ([]byte, error) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		return nil, ErrClosed
-	}
-	o := f.hook.Observer()
-	if o == nil {
-		v, err := f.eng.Get(key)
-		return v, mapNotFound(err)
-	}
-	if sp := o.StartSpan(obs.OpGet); sp != nil {
-		defer o.FinishSpan(sp)
-		v, err := f.eng.GetSpan(key, sp)
-		return v, mapNotFound(err)
-	}
-	start := time.Now()
-	v, err := f.eng.Get(key)
-	o.RecordOp(obs.OpGet, time.Since(start))
-	return v, mapNotFound(err)
+	c := call{op: obs.OpGet, key: key}
+	err := f.run(&c)
+	return c.value, err
 }
 
 // Has reports whether key is present.
@@ -897,66 +920,15 @@ func (f *File) Has(key string) (bool, error) {
 // Options.WAL a successful delete is durable in the log when the call
 // returns.
 func (f *File) Delete(key string) error {
-	err := f.deleteOp(key)
+	err := f.run(&call{op: obs.OpDelete, key: key})
 	f.maybeCheckpoint()
 	return err
-}
-
-func (f *File) deleteOp(key string) error {
-	o := f.hook.Observer()
-	if sp := o.StartSpan(obs.OpDelete); sp != nil {
-		defer o.FinishSpan(sp)
-		defer f.opLock()()
-		sp.Mark(obs.StageFileLock)
-		if f.closed {
-			return ErrClosed
-		}
-		err := f.eng.DeleteSpan(key, sp)
-		if err == nil {
-			err = f.walAppend(wal.OpDelete, key, nil, sp)
-		}
-		return mapNotFound(err)
-	}
-	defer f.opLock()()
-	if f.closed {
-		return ErrClosed
-	}
-	if o == nil {
-		err := f.eng.Delete(key)
-		if err == nil {
-			err = f.walAppend(wal.OpDelete, key, nil, nil)
-		}
-		return mapNotFound(err)
-	}
-	start := time.Now()
-	err := f.eng.Delete(key)
-	if err == nil {
-		err = f.walAppend(wal.OpDelete, key, nil, nil)
-	}
-	o.RecordOp(obs.OpDelete, time.Since(start))
-	return mapNotFound(err)
 }
 
 // Range calls fn for every record with from <= key <= to in ascending key
 // order until fn returns false. An empty to scans to the end of the file.
 func (f *File) Range(from, to string, fn func(key string, value []byte) bool) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.closed {
-		return ErrClosed
-	}
-	o := f.hook.Observer()
-	if o == nil {
-		return f.eng.Range(from, to, fn)
-	}
-	if sp := o.StartSpan(obs.OpRange); sp != nil {
-		defer o.FinishSpan(sp)
-		return f.eng.RangeSpan(from, to, fn, sp)
-	}
-	start := time.Now()
-	err := f.eng.Range(from, to, fn)
-	o.RecordOp(obs.OpRange, time.Since(start))
-	return err
+	return f.run(&call{op: obs.OpRange, key: from, to: to, fn: fn})
 }
 
 // Len returns the number of records.

@@ -183,11 +183,11 @@ func (f *File) applyWAL(recs []wal.Record) error {
 	for _, r := range recs {
 		switch r.Op {
 		case wal.OpPut:
-			if _, err := f.eng.Put(r.Key, r.Value); err != nil { //thvet:ok obsop -- replay runs at open, before an observer can attach; Observe reports it as one EvWALReplay event instead of fake op samples
+			if _, err := f.eng.PutOp(r.Key, r.Value, nil); err != nil { //thvet:ok obsop -- replay runs at open, before an observer can attach; Observe reports it as one EvWALReplay event instead of fake op samples
 				return err
 			}
 		case wal.OpDelete:
-			if err := f.eng.Delete(r.Key); err != nil && !errors.Is(mapNotFound(err), ErrNotFound) {
+			if err := f.eng.DeleteOp(r.Key, nil); err != nil && !errors.Is(mapNotFound(err), ErrNotFound) {
 				return err
 			}
 		}
