@@ -9,12 +9,15 @@ all: build lint test race
 build:
 	$(GO) build ./...
 
-# Static gates: go vet plus thvet, the repo-specific analyzer suite
-# (lock graph, publication safety, atomics, determinism, error
-# discipline, obs coverage).
+# Static gates: go vet, thvet (the repo-specific analyzer suite: lock
+# graph, publication safety, atomics, determinism, error discipline, obs
+# coverage) and gofmt, which fails on any file it would reformat.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/thvet
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
+		echo "gofmt would reformat:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # Render the whole-program lock-acquisition graph (markdown to the
 # terminal, DOT to lockgraph.dot for Graphviz/CI) and fail if the

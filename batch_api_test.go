@@ -206,3 +206,43 @@ func TestCachedGetZeroAlloc(t *testing.T) {
 		t.Fatalf("cached Get allocates %v objects/op, want 0", allocs)
 	}
 }
+
+// TestMultilevelGetZeroAlloc: a warm Get on an in-memory multilevel file
+// allocates nothing either, with or without a pool — the page-by-page
+// descent carries only the digit index, and the bucket is read through
+// the store's view instead of a clone.
+func TestMultilevelGetZeroAlloc(t *testing.T) {
+	for _, frames := range []int{0, 4096} {
+		f, err := Create(Options{BucketCapacity: 20, PageCapacity: 64, CacheFrames: frames})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		ks := workload.Uniform(41, 5000, 3, 10)
+		for _, k := range ks {
+			if err := f.Put(k, []byte(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if lv := f.Stats().Levels; lv < 2 {
+			t.Fatalf("file has %d page levels, want a paged trie", lv)
+		}
+		for _, k := range ks { // warm every bucket into the pool
+			if _, err := f.Get(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var sink []byte
+		allocs := testing.AllocsPerRun(500, func() {
+			v, err := f.Get(ks[4242])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink = v
+		})
+		_ = sink
+		if allocs != 0 {
+			t.Fatalf("CacheFrames=%d: multilevel Get allocates %v objects/op, want 0", frames, allocs)
+		}
+	}
+}

@@ -490,13 +490,14 @@ func BenchmarkShardedCache(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			views := store.NewViews(st)
 			b.SetParallelism(8)
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				i := int32(0)
 				for pb.Next() {
-					if _, err := store.View(st, i%buckets); err != nil {
+					if _, err := views.View(i%buckets, nil); err != nil {
 						b.Fatal(err)
 					}
 					i++

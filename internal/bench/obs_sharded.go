@@ -53,6 +53,7 @@ func ObsCacheSharded() *Table {
 			}
 		}
 		buckets := int32(mem.Buckets())
+		views := store.NewViews(st)
 		for _, g := range []int{1, 4, 16} {
 			st.ResetCounters()
 			per := totalOps / g
@@ -66,7 +67,7 @@ func ObsCacheSharded() *Table {
 					rng := rand.New(rand.NewSource(seed))
 					t0 := time.Now()
 					for i := 0; i < per; i++ {
-						if _, err := store.View(st, rng.Int31n(buckets)); err != nil {
+						if _, err := views.View(rng.Int31n(buckets), nil); err != nil {
 							panic(err)
 						}
 					}

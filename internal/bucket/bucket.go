@@ -413,7 +413,7 @@ func decodeV2(buf []byte) (*Bucket, int, error) {
 		// and grows only for extreme sharing.
 		keyArena  = make([]byte, 0, len(buf)-off)
 		valArena  = make([]byte, 0, len(buf)-off)
-		keyStarts = starts[0:0:cnt+1]
+		keyStarts = starts[0 : 0 : cnt+1]
 		valStarts = starts[cnt+1 : cnt+1 : 2*(cnt+1)]
 		ref       = b.bound
 	)

@@ -32,7 +32,7 @@ func (f *File) GetBatchOp(keys []string, sp *obs.Span) (vals [][]byte, errs []er
 	}
 	sp.Mark(obs.StageTrieSearch)
 	for addr, idxs := range groups {
-		b, err := f.view(addr, sp)
+		b, err := f.views.View(addr, sp)
 		if err != nil {
 			for _, i := range idxs {
 				errs[i] = err

@@ -232,7 +232,7 @@ func (e *ConcurrentFile) GetOp(key string, sp *obs.Span) ([]byte, error) {
 			sp.EndHold(obs.StageLatchHold)
 			continue
 		}
-		b, err := e.inner.view(addr, sp)
+		b, err := e.inner.views.View(addr, sp)
 		if err != nil {
 			mu.RUnlock()
 			sp.EndHold(obs.StageLatchHold)
@@ -768,7 +768,7 @@ func (e *ConcurrentFile) GetBatchOp(keys []string, sp *obs.Span) (vals [][]byte,
 					continue
 				}
 				if !loaded {
-					b, rerr = e.inner.view(g.addr, nil)
+					b, rerr = e.inner.views.View(g.addr, nil)
 					loaded = true
 				}
 				if rerr != nil {

@@ -25,15 +25,11 @@ type File struct {
 	cfg  Config
 	trie *trie.Trie
 	st   store.Store
-	// viewer is st's ReadView capability, resolved once at construction
-	// (see resolveStore): Get is the zero-allocation hot path, and a
-	// per-call interface assertion costs measurably there.
-	viewer store.Viewer
-	// spanViewer is st's span-aware ReadView (the Instrumented wrapper),
-	// resolved alongside viewer; nil when the store cannot tag span reads.
-	spanViewer store.SpanViewer
-	nkeys      int
-	splits     int
+	// views is st's read-only path, resolved once at construction (see
+	// resolveStore).
+	views  store.Views
+	nkeys  int
+	splits int
 	// redistributions counts splits resolved by shifting keys into an
 	// existing bucket instead of appending one.
 	redistributions int
@@ -65,29 +61,10 @@ func (f *File) CorruptSlots() []int32 { return append([]int32(nil), f.corruptSlo
 // resolveStore caches the store capabilities consulted on hot paths.
 // Every constructor (New, Open, Recover, BulkLoad) finishes through it;
 // f.st must not change afterwards — readers may run concurrently under
-// the public layer's RLock and rely on viewer being immutable.
+// the public layer's RLock and rely on views being immutable.
 func (f *File) resolveStore() *File {
-	f.viewer, _ = f.st.(store.Viewer)
-	f.spanViewer, _ = f.st.(store.SpanViewer)
+	f.views = store.NewViews(f.st)
 	return f
-}
-
-// view reads bucket addr read-only through the cheapest path the store
-// offers: ReadView (no clone) when the store has one, Read otherwise. With
-// a span the store's span-aware viewer, when it has one, splits the access
-// into cache-probe vs store-read; otherwise the whole access is charged to
-// store-read.
-func (f *File) view(addr int32, sp *obs.Span) (b *bucket.Bucket, err error) {
-	switch {
-	case sp != nil && f.spanViewer != nil:
-		return f.spanViewer.ReadViewSpan(addr, sp)
-	case f.viewer != nil:
-		b, err = f.viewer.ReadView(addr)
-	default:
-		b, err = f.st.Read(addr)
-	}
-	sp.Mark(obs.StageStoreRead)
-	return b, err
 }
 
 // emit sends a structural event, stamping it with the cheap O(1) state
@@ -183,7 +160,7 @@ func (f *File) GetOp(key string, sp *obs.Span) ([]byte, error) {
 	if leaf.IsNil() {
 		return nil, ErrNotFound
 	}
-	b, err := f.view(leaf.Addr(), sp)
+	b, err := f.views.View(leaf.Addr(), sp)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +309,7 @@ func (f *File) RangeOp(from, to string, fn func(key string, value []byte) bool, 
 	alpha := f.cfg.Alphabet
 	lastRead := int32(-1)
 	var walkErr error
-	f.trie.WalkLeavesFrom(from, func(lp trie.LeafPos) bool {
+	f.trie.WalkLeavesFrom(from, nil, func(lp trie.LeafPos) bool {
 		// Leaf covers (previous bound, lp.Path]; skip while the upper
 		// bound is still below from (the walk already pruned whole
 		// subtrees; this guards the boundary leaf).
@@ -346,7 +323,7 @@ func (f *File) RangeOp(from, to string, fn func(key string, value []byte) bool, 
 		if addr != lastRead {
 			lastRead = addr
 			sp.Mark(obs.StageTrieSearch)
-			b, err := f.view(addr, sp)
+			b, err := f.views.View(addr, sp)
 			if err != nil {
 				walkErr = err
 				return false
@@ -391,7 +368,7 @@ func (f *File) Max() (string, error) {
 			continue
 		}
 		last = addr
-		b, err := f.view(addr, nil)
+		b, err := f.views.View(addr, nil)
 		if err != nil {
 			return "", err
 		}

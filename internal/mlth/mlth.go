@@ -91,8 +91,11 @@ type page struct {
 
 // File is a multilevel trie-hashed file.
 type File struct {
-	cfg   Config
-	st    store.Store
+	cfg Config
+	st  store.Store
+	// views is st's read-only path for GetOp and RangeOp, resolved once
+	// in New and Open; PutOp and DeleteOp Read, since they mutate.
+	views store.Views
 	pages []*page
 	root  int32
 	nkeys int
@@ -126,9 +129,14 @@ func (f *File) emit(t obs.EventType, addr, addr2 int32, detail string) {
 	})
 }
 
-// pageRead counts a non-root page access with the observer; the event is
-// high-frequency, so the observer ring-buffers it only under TraceIO.
+// pageRead counts an access to page pid. The root page stays in main
+// memory, as the paper assumes, so only the others count; the observer
+// ring-buffers the high-frequency event only under TraceIO.
 func (f *File) pageRead(pid int32) {
+	if pid == f.root {
+		return
+	}
+	f.pageReads.Add(1)
 	o := f.hook.Observer()
 	if o == nil {
 		return
@@ -148,7 +156,7 @@ func New(cfg Config, st store.Store) (*File, error) {
 	if _, err := st.Alloc(); err != nil {
 		return nil, err
 	}
-	f := &File{cfg: cfg, st: st}
+	f := &File{cfg: cfg, st: st, views: store.NewViews(st)}
 	f.pages = append(f.pages, &page{level: 0, tr: trie.New(cfg.Alphabet, 0)})
 	return f, nil
 }
@@ -203,10 +211,7 @@ func (f *File) locate(key string) (path []int32, res trie.SearchResult) {
 	var C []byte
 	for {
 		p := f.pages[pid]
-		if pid != f.root {
-			f.pageReads.Add(1)
-			f.pageRead(pid)
-		}
+		f.pageRead(pid)
 		path = append(path, pid)
 		res = p.tr.SearchFrom(key, j, C)
 		if p.level == 0 {
@@ -220,25 +225,46 @@ func (f *File) locate(key string) (path []int32, res trie.SearchResult) {
 	}
 }
 
+// locateLeaf is locate for point reads: the same page-by-page search and
+// page-read count, carrying only the digit index j — the descent never
+// consults the logical path — so it allocates nothing.
+func (f *File) locateLeaf(key string) trie.Ptr {
+	pid := f.root
+	j := 0
+	for {
+		p := f.pages[pid]
+		f.pageRead(pid)
+		var leaf trie.Ptr
+		leaf, j = p.tr.SearchAddrFrom(key, j)
+		if p.level == 0 {
+			return leaf
+		}
+		if leaf.IsNil() {
+			panic(fmt.Sprintf("mlth: nil leaf at page level %d", p.level))
+		}
+		pid = leaf.Addr()
+	}
+}
+
 // Get is GetOp without a span.
 func (f *File) Get(key string) ([]byte, error) { return f.GetOp(key, nil) }
 
-// GetOp returns the value stored under key. The multilevel locate — page
-// traversal included — is charged to sp's trie-search stage: pages are
-// trie nodes here, and their reads are counted separately by the
-// page-read counter. mlth is a deterministic package, so all clock reads
-// stay behind the span's methods.
+// GetOp returns the value stored under key, reading the bucket through
+// the store's clone-free view. The multilevel locate — page traversal
+// included — is charged to sp's trie-search stage: pages are trie nodes
+// here, and their reads are counted separately by the page-read counter.
+// mlth is a deterministic package, so all clock reads stay behind the
+// span's methods.
 func (f *File) GetOp(key string, sp *obs.Span) ([]byte, error) {
 	if err := f.cfg.Alphabet.Validate(key); err != nil {
 		return nil, err
 	}
-	_, res := f.locate(key)
+	leaf := f.locateLeaf(key)
 	sp.Mark(obs.StageTrieSearch)
-	if res.Leaf.IsNil() {
+	if leaf.IsNil() {
 		return nil, ErrNotFound
 	}
-	b, err := f.st.Read(res.Leaf.Addr())
-	sp.Mark(obs.StageStoreRead)
+	b, err := f.views.View(leaf.Addr(), sp)
 	if err != nil {
 		return nil, err
 	}
@@ -485,74 +511,100 @@ func (f *File) Range(from, to string, fn func(key string, value []byte) bool) er
 }
 
 // RangeOp calls fn for every record with from <= key <= to (empty to = no
-// upper bound) in ascending key order until fn returns false. Walk time
+// upper bound) in ascending key order until fn returns false. The walk
+// seeks to from's leaf through one root-to-leaf path of pages and reads
+// each bucket it then passes once, through the store's view. Walk time
 // between bucket reads is charged to sp's trie-search stage, the reads to
-// store-read.
+// cache-probe/store-read.
 func (f *File) RangeOp(from, to string, fn func(key string, value []byte) bool, sp *obs.Span) error {
-	_, start := f.locate(from)
-	sp.Mark(obs.StageTrieSearch)
-	started := start.Leaf.IsNil() // a nil start leaf: begin at the next real bucket
-	startAddr := int32(-1)
-	if !start.Leaf.IsNil() {
-		startAddr = start.Leaf.Addr()
+	if to != "" && to < from {
+		return nil
 	}
-	var scanErr error
-	f.walkBuckets(func(addr int32) bool {
-		if !started {
-			if addr != startAddr {
-				return true
+	alpha := f.cfg.Alphabet
+	lastRead := int32(-1)
+	var walkErr error
+	f.walkFrom(from, true, func(fl fileLeaf) bool {
+		// The leaf covers (previous bound, fl.bound]; the walk pruned
+		// whole subtrees and pages below from, this guards the boundary
+		// leaf.
+		if len(fl.bound) > 0 && !alpha.KeyLEBound(from, fl.bound) {
+			return true
+		}
+		if fl.leaf.IsNil() {
+			return true
+		}
+		if addr := fl.leaf.Addr(); addr != lastRead {
+			lastRead = addr
+			sp.Mark(obs.StageTrieSearch)
+			b, err := f.views.View(addr, sp)
+			if err != nil {
+				walkErr = err
+				return false
 			}
-			started = true
+			if !b.Ascend(from, to, func(r bucket.Record) bool { return fn(r.Key, r.Value) }) {
+				return false
+			}
 		}
-		sp.Mark(obs.StageTrieSearch)
-		b, err := f.st.Read(addr)
-		sp.Mark(obs.StageStoreRead)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if b.Len() > 0 && to != "" && b.MinKey() > to {
-			return false
-		}
-		return b.Ascend(from, to, func(r bucket.Record) bool { return fn(r.Key, r.Value) })
+		// Stop once this leaf's bound reaches past to.
+		return to == "" || len(fl.bound) == 0 || !alpha.KeyLEBound(to, fl.bound)
 	})
 	sp.Mark(obs.StageTrieSearch)
-	return scanErr
+	return walkErr
 }
 
-// walkBuckets visits every bucket address in ascending key order,
-// descending the page hierarchy in-order and counting page accesses.
-// Consecutive shared leaves of a THCL run report their bucket once.
-func (f *File) walkBuckets(fn func(addr int32) bool) {
-	last := int32(-1)
-	var walk func(pid int32) bool
-	walk = func(pid int32) bool {
-		if pid != f.root {
-			f.pageReads.Add(1)
-			f.pageRead(pid)
-		}
-		p := f.pages[pid]
-		cont := true
-		for _, leaf := range p.tr.InorderLeafPtrs() {
-			if leaf.IsNil() {
-				last = -1
-				continue
-			}
-			if p.level == 0 {
-				if leaf.Addr() == last {
-					continue
-				}
-				last = leaf.Addr()
-				if !fn(leaf.Addr()) {
-					cont = false
-					break
-				}
-			} else if !walk(leaf.Addr()) {
-				cont = false
-				break
-			}
-		}
-		return cont
+// fileLeaf is one file-level leaf reported by walkFrom: its page, that
+// page's ancestry (root first, the page itself last; it aliases the
+// walker's stack, so a callback keeping it must copy it), its slot
+// position within the page, its pointer and its full logical-path bound.
+type fileLeaf struct {
+	page     int32
+	ancestry []int32
+	pos      trie.Pos
+	leaf     trie.Ptr
+	bound    []byte
+}
+
+// walkFrom is the cross-page in-order walk: it visits the file-level
+// leaves in ascending key order, starting at the leaf whose range contains
+// from ("" starts at the first leaf), until fn returns false. Each page's
+// subtrie is walked with the logical path its parent leaf supplies, so
+// bounds are full paths, and the walk enters only child pages not wholly
+// below from: a seek costs one root-to-leaf path of pages plus the leaves
+// it then visits. Entered pages count as page reads when countReads is
+// set; a split's walk does not count, since it revisits the pages its
+// Put just located.
+func (f *File) walkFrom(from string, countReads bool, fn func(fileLeaf) bool) {
+	w := pageWalk{f: f, from: from, countReads: countReads, fn: fn}
+	w.walk(f.root, nil)
+}
+
+type pageWalk struct {
+	f          *File
+	from       string
+	countReads bool
+	ancestry   []int32
+	fn         func(fileLeaf) bool
+}
+
+// walk visits page pid's leaves, the page's logical path seeded with
+// prefix, descending into the child pages its leaves address. It returns
+// false when fn stopped the walk.
+func (w *pageWalk) walk(pid int32, prefix []byte) bool {
+	if w.countReads {
+		w.f.pageRead(pid)
 	}
-	walk(f.root)
+	p := w.f.pages[pid]
+	w.ancestry = append(w.ancestry, pid)
+	cont := p.tr.WalkLeavesFrom(w.from, prefix, func(lp trie.LeafPos) bool {
+		switch {
+		case p.level == 0:
+			return w.fn(fileLeaf{page: pid, ancestry: w.ancestry, pos: lp.Pos, leaf: lp.Leaf, bound: lp.Path})
+		case lp.Leaf.IsNil():
+			return true // malformed; CheckInvariants reports it
+		default:
+			return w.walk(lp.Leaf.Addr(), lp.Path)
+		}
+	})
+	w.ancestry = w.ancestry[:len(w.ancestry)-1]
+	return cont
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"triehash/internal/store"
+	"triehash/internal/trie"
 )
 
 func newFile(t *testing.T, cfg Config) *File {
@@ -227,6 +228,87 @@ func TestThreeLevels(t *testing.T) {
 	for _, k := range keys[:500] {
 		if _, err := f.Get(k); err != nil {
 			t.Fatalf("Get(%q): %v", k, err)
+		}
+	}
+}
+
+// threeLevelFiles builds TestThreeLevels' file in both modes: tiny pages
+// push the hierarchy to three levels or more.
+func threeLevelFiles(t *testing.T) map[string]*File {
+	t.Helper()
+	files := map[string]*File{}
+	for _, mode := range []trie.Mode{trie.ModeBasic, trie.ModeTHCL} {
+		f := newFile(t, Config{Capacity: 2, PageCapacity: 4, Mode: mode})
+		for _, k := range randomKeys(4, 3000) {
+			if _, err := f.Put(k, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if f.Levels() < 3 {
+			t.Fatalf("%s: levels = %d, want >= 3", mode, f.Levels())
+		}
+		files[mode.String()] = f
+	}
+	return files
+}
+
+// TestRangeSeekCost: a Range seeks to its first leaf through one
+// root-to-leaf path of pages instead of walking every page to its left,
+// so a Range from a stored key that stops after one record costs exactly
+// Levels()-1 page reads (the root stays in core).
+func TestRangeSeekCost(t *testing.T) {
+	for name, f := range threeLevelFiles(t) {
+		for _, k := range randomKeys(4, 3000)[:300] {
+			f.ResetPageReads()
+			var got []string
+			if err := f.Range(k, "", func(key string, _ []byte) bool {
+				got = append(got, key)
+				return false
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 1 || got[0] != k {
+				t.Fatalf("%s: Range(%q) stopped after %v", name, k, got)
+			}
+			if pr, want := f.PageReads(), int64(f.Levels()-1); pr != want {
+				t.Fatalf("%s: Range(%q) of one record read %d pages, want %d (%d pages in all)",
+					name, k, pr, want, f.Pages())
+			}
+		}
+	}
+}
+
+// TestCursorScanCostLinear: a full scan by 128-record Ranges, each
+// starting just above the previous batch's last key as Cursor.refill
+// does, enters each page at most once beyond its refills' seeks.
+func TestCursorScanCostLinear(t *testing.T) {
+	for name, f := range threeLevelFiles(t) {
+		f.ResetPageReads()
+		var all []string
+		next, refills := "", 0
+		for {
+			refills++
+			var batch []string
+			if err := f.Range(next, "", func(key string, _ []byte) bool {
+				batch = append(batch, key)
+				return len(batch) < 128
+			}); err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, batch...)
+			if len(batch) < 128 {
+				break
+			}
+			next = batch[len(batch)-1] + string(f.Alphabet().Min)
+		}
+		if len(all) != f.Len() || !sort.StringsAreSorted(all) {
+			t.Fatalf("%s: scan delivered %d keys (sorted %v), file holds %d",
+				name, len(all), sort.StringsAreSorted(all), f.Len())
+		}
+		bound := int64(refills*(f.Levels()-1) + f.Pages())
+		if pr := f.PageReads(); pr > bound {
+			t.Fatalf("%s: %d refills read %d pages, want at most %d (%d levels, %d pages)",
+				name, refills, pr, bound, f.Levels(), f.Pages())
 		}
 	}
 }

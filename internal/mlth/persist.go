@@ -74,6 +74,7 @@ func Open(meta []byte, st store.Store) (*File, error) {
 	}
 	f := &File{
 		st:     st,
+		views:  store.NewViews(st),
 		nkeys:  int(binary.LittleEndian.Uint64(meta[20:])),
 		splits: int(binary.LittleEndian.Uint32(meta[28:])),
 		root:   int32(binary.LittleEndian.Uint32(meta[32:])),

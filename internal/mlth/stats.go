@@ -110,14 +110,18 @@ func (f *File) CheckInvariants() error {
 		}
 	}
 
-	// Run contiguity and stored bounds across pages: every bucket's
+	// One in-order walk over the file-level leaves: every bucket's
 	// leaves form one consecutive cross-page run whose top bound matches
 	// the bucket header (the TOR83 recovery invariant).
-	runTop := map[int32][]byte{}
+	type run struct {
+		addr int32
+		top  []byte
+	}
+	var runs []run
 	closed := map[int32]bool{}
 	lastAddr := int32(-1)
 	var runErr error
-	f.walkFileLeaves(func(fl fullLeaf) bool {
+	f.walkFrom("", false, func(fl fileLeaf) bool {
 		if fl.leaf.IsNil() {
 			lastAddr = -1
 			return true
@@ -132,55 +136,42 @@ func (f *File) CheckInvariants() error {
 				closed[lastAddr] = true
 			}
 			lastAddr = a
+			runs = append(runs, run{addr: a})
 		}
-		runTop[a] = fl.bound
+		runs[len(runs)-1].top = fl.bound
 		return true
 	})
 	if runErr != nil {
 		return runErr
 	}
-	for addr, want := range runTop {
-		b, err := f.st.Read(addr)
-		if err != nil {
-			return err
-		}
-		if string(b.Bound()) != string(want) {
-			return fmt.Errorf("mlth: bucket %d stores bound %q, trie run tops at %q", addr, b.Bound(), want)
-		}
-	}
 
-	// Key placement and global order.
+	// Stored bounds, key placement and global order, bucket by bucket in
+	// key order.
 	total := 0
 	prev := ""
 	first := true
-	var placeErr error
-	f.walkBuckets(func(addr int32) bool {
-		b, err := f.st.Read(addr)
+	for _, r := range runs {
+		b, err := f.st.Read(r.addr)
 		if err != nil {
-			placeErr = err
-			return false
+			return err
+		}
+		if string(b.Bound()) != string(r.top) {
+			return fmt.Errorf("mlth: bucket %d stores bound %q, trie run tops at %q", r.addr, b.Bound(), r.top)
 		}
 		if b.Len() > f.cfg.Capacity {
-			placeErr = fmt.Errorf("mlth: bucket %d holds %d > b=%d records", addr, b.Len(), f.cfg.Capacity)
-			return false
+			return fmt.Errorf("mlth: bucket %d holds %d > b=%d records", r.addr, b.Len(), f.cfg.Capacity)
 		}
 		total += b.Len()
 		for i := 0; i < b.Len(); i++ {
 			k := b.At(i).Key
 			if !first && k <= prev {
-				placeErr = fmt.Errorf("mlth: key order violated: %q after %q", k, prev)
-				return false
+				return fmt.Errorf("mlth: key order violated: %q after %q", k, prev)
 			}
 			prev, first = k, false
-			if _, res := f.locate(k); res.Leaf.IsNil() || res.Leaf.Addr() != addr {
-				placeErr = fmt.Errorf("mlth: key %q stored in bucket %d but routes to %v", k, addr, res.Leaf)
-				return false
+			if leaf := f.locateLeaf(k); leaf.IsNil() || leaf.Addr() != r.addr {
+				return fmt.Errorf("mlth: key %q stored in bucket %d but routes to %v", k, r.addr, leaf)
 			}
 		}
-		return true
-	})
-	if placeErr != nil {
-		return placeErr
 	}
 	if total != f.nkeys {
 		return fmt.Errorf("mlth: %d records stored, counter says %d", total, f.nkeys)

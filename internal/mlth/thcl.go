@@ -15,62 +15,20 @@ import (
 // successor repointing (Section 4.1 steps 3.0-3.5) must operate on a run
 // of leaves that may span several file-level pages.
 
-// fullLeaf is one file-level leaf seen by a cross-page in-order walk: its
-// owning page, the ancestor pages (root first), the slot position within
-// the page, the pointer, and the full logical-path bound.
-type fullLeaf struct {
-	page     int32
-	ancestry []int32
-	pos      trie.Pos
-	leaf     trie.Ptr
-	bound    []byte
-}
-
-// walkFileLeaves visits every file-level leaf in in-order with its full
-// logical path, descending the page hierarchy and seeding each page's walk
-// with the path accumulated above it.
-func (f *File) walkFileLeaves(fn func(fullLeaf) bool) {
-	var walk func(pid int32, ancestry []int32, prefix []byte) bool
-	walk = func(pid int32, ancestry []int32, prefix []byte) bool {
-		p := f.pages[pid]
-		ancestry = append(ancestry, pid)
-		cont := true
-		p.tr.WalkLeavesPrefix(prefix, func(lp trie.LeafPos) bool {
-			if p.level == 0 {
-				if !fn(fullLeaf{
-					page:     pid,
-					ancestry: append([]int32(nil), ancestry...),
-					pos:      lp.Pos,
-					leaf:     lp.Leaf,
-					bound:    lp.Path,
-				}) {
-					cont = false
-				}
-				return cont
-			}
-			if lp.Leaf.IsNil() {
-				return true
-			}
-			if !walk(lp.Leaf.Addr(), ancestry, lp.Path) {
-				cont = false
-			}
-			return cont
-		})
-		return cont
-	}
-	walk(f.root, nil, nil)
-}
-
 // setBoundaryTHCL installs split string s as the new boundary inside the
 // key range of bucket old, across pages: leaves of old's run at or below s
 // keep old, the straddling leaf grows the chain (inside its page), and
 // later leaves of the run repoint to high — the multilevel form of
-// Section 4.1 steps 3.0-3.5. It returns the page that received new cells
-// (with its ancestry) so the caller can split overflowing pages, or -1.
-func (f *File) setBoundaryTHCL(s []byte, old, high int32) (grownPage int32, ancestry []int32) {
-	var run []fullLeaf
-	f.walkFileLeaves(func(fl fullLeaf) bool {
+// Section 4.1 steps 3.0-3.5. The walk seeks to minKey, the smallest key
+// old held before the split: run leaves below its leaf lie under s and are
+// never modified, so the cost is one root-to-leaf path plus the run. It
+// returns the page that received new cells (with its ancestry) so the
+// caller can split overflowing pages, or -1.
+func (f *File) setBoundaryTHCL(s []byte, minKey string, old, high int32) (grownPage int32, ancestry []int32) {
+	var run []fileLeaf
+	f.walkFrom(minKey, false, func(fl fileLeaf) bool {
 		if !fl.leaf.IsNil() && fl.leaf.Addr() == old {
+			fl.ancestry = append([]int32(nil), fl.ancestry...)
 			run = append(run, fl)
 			return true
 		}
@@ -138,7 +96,7 @@ func (f *File) splitBucketTHCL(addr int32, b *bucket.Bucket) error {
 	if err := f.st.Write(addr, b); err != nil {
 		return err
 	}
-	grown, ancestry := f.setBoundaryTHCL(s, addr, newAddr)
+	grown, ancestry := f.setBoundaryTHCL(s, B[0], addr, newAddr)
 	f.splits++
 	f.emit(obs.EvSplit, addr, newAddr, fmt.Sprintf("split string %q", s))
 	if grown >= 0 {

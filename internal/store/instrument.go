@@ -35,6 +35,42 @@ type SpanViewer interface {
 	ReadViewSpan(addr int32, sp *obs.Span) (*bucket.Bucket, error)
 }
 
+// Views is a store's read-only access path with its capabilities resolved
+// once, for the engines' read operations: Get is the zero-allocation hot
+// path, and a per-call interface assertion costs measurably there. The
+// store must not change after NewViews.
+type Views struct {
+	st     Store
+	viewer Viewer
+	span   SpanViewer
+}
+
+// NewViews resolves st's ReadView and span-aware ReadView capabilities.
+func NewViews(st Store) Views {
+	v := Views{st: st}
+	v.viewer, _ = st.(Viewer)
+	v.span, _ = st.(SpanViewer)
+	return v
+}
+
+// View reads bucket addr read-only through the cheapest path the store
+// offers: ReadView (no clone) when the store has one, Read otherwise. With
+// a span the store's span-aware viewer, when it has one, splits the access
+// into cache-probe vs store-read; otherwise the whole access is charged to
+// store-read. The caller must not mutate the bucket.
+func (v *Views) View(addr int32, sp *obs.Span) (b *bucket.Bucket, err error) {
+	switch {
+	case sp != nil && v.span != nil:
+		return v.span.ReadViewSpan(addr, sp)
+	case v.viewer != nil:
+		b, err = v.viewer.ReadView(addr)
+	default:
+		b, err = v.st.Read(addr)
+	}
+	sp.Mark(obs.StageStoreRead)
+	return b, err
+}
+
 // NewInstrumented wraps s; hook may be shared with other components.
 func NewInstrumented(s Store, hook *obs.Hook) *Instrumented {
 	i := &Instrumented{Store: s, hook: hook}

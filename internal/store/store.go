@@ -99,22 +99,12 @@ type Store interface {
 // returns a bucket the caller must treat as immutable. Implementations
 // guarantee the returned snapshot is never mutated in place — a later
 // Write replaces it — so read-only operations (Get, Range) can skip the
-// defensive copy Read makes. View falls back to Read for stores without
-// the fast path.
+// defensive copy Read makes. Views.View falls back to Read for stores
+// without the fast path.
 type Viewer interface {
 	// ReadView fetches bucket addr as a shared read-only snapshot. The
 	// caller must not mutate it.
 	ReadView(addr int32) (*bucket.Bucket, error)
-}
-
-// View reads bucket addr through the cheapest path s offers: ReadView
-// where implemented (no clone), Read otherwise. The returned bucket must
-// be treated as read-only.
-func View(s Store, addr int32) (*bucket.Bucket, error) {
-	if v, ok := s.(Viewer); ok {
-		return v.ReadView(addr)
-	}
-	return s.Read(addr)
 }
 
 // MemStore is an in-memory simulated disk. It deep-copies buckets on Read

@@ -20,7 +20,7 @@ type LeafPos struct {
 // range). The logical path of each leaf is materialized.
 func (t *Trie) InorderLeaves() []LeafPos {
 	out := make([]LeafPos, 0, len(t.cells)+1)
-	t.walkLeaves(t.root, RootPos, nil, func(lp LeafPos) bool {
+	t.WalkLeaves(func(lp LeafPos) bool {
 		out = append(out, lp)
 		return true
 	})
@@ -29,50 +29,26 @@ func (t *Trie) InorderLeaves() []LeafPos {
 
 // WalkLeaves calls fn for each leaf in in-order until fn returns false.
 func (t *Trie) WalkLeaves(fn func(LeafPos) bool) {
-	t.walkLeaves(t.root, RootPos, nil, fn)
+	t.walkLeaves(t.root, RootPos, nil, "", fn)
 }
 
 // WalkLeavesFrom is WalkLeaves starting at the leaf whose range contains
 // from: subtrees whose entire key range lies below from are pruned without
 // visiting them, so a range scan costs O(depth + leaves visited) instead
-// of a full traversal.
-func (t *Trie) WalkLeavesFrom(from string, fn func(LeafPos) bool) {
-	var walk func(n Ptr, pos Pos, path []byte) bool
-	walk = func(n Ptr, pos Pos, path []byte) bool {
-		if n.IsLeaf() {
-			return fn(LeafPos{Pos: pos, Leaf: n, Path: append([]byte(nil), path...)})
-		}
-		ci := n.Cell()
-		cell := t.cells[ci]
-		i := int(cell.DN)
-		if len(path) < i {
-			panic(fmt.Sprintf("trie: malformed trie: cell %d at digit number %d reached with %d known path digits", ci, i, len(path)))
-		}
-		left := append(append([]byte(nil), path[:i]...), cell.DV)
-		// The left subtree's entire range tops out at its bound; skip it
-		// when from lies above.
-		if t.alpha.KeyLEBound(from, left) {
-			if !walk(cell.LP, Pos{Cell: ci, Side: SideLeft}, left) {
-				return false
-			}
-		}
-		return walk(cell.RP, Pos{Cell: ci, Side: SideRight}, path)
-	}
-	walk(t.root, RootPos, nil)
-}
-
-// WalkLeavesPrefix is WalkLeaves for a page-level subtrie whose logical
-// path starts with the digits inherited from upper pages: prefix seeds the
-// path, so every reported LeafPos carries the full logical path. The
-// multilevel THCL machinery uses it to compute cross-page leaf bounds.
-func (t *Trie) WalkLeavesPrefix(prefix []byte, fn func(LeafPos) bool) {
-	t.walkLeaves(t.root, RootPos, prefix, fn)
+// of a full traversal; an empty from visits every leaf. prefix seeds the
+// logical path with the digits a page-level subtrie inherits from upper
+// pages under MLTH (nil for a whole trie), so every reported LeafPos
+// carries its full logical path and the pruning compares full bounds. It
+// reports false when fn stopped the walk.
+func (t *Trie) WalkLeavesFrom(from string, prefix []byte, fn func(LeafPos) bool) bool {
+	return t.walkLeaves(t.root, RootPos, prefix, from, fn)
 }
 
 // walkLeaves traverses the subtrie at pointer n located at position pos with
-// logical-path prefix path. It returns false when fn aborted the walk.
-// The path slice passed to fn is freshly allocated per leaf.
-func (t *Trie) walkLeaves(n Ptr, pos Pos, path []byte, fn func(LeafPos) bool) bool {
+// logical-path prefix path, pruning left subtrees wholly below from. It
+// returns false when fn aborted the walk. The path slice passed to fn is
+// freshly allocated per leaf.
+func (t *Trie) walkLeaves(n Ptr, pos Pos, path []byte, from string, fn func(LeafPos) bool) bool {
 	if n.IsLeaf() {
 		return fn(LeafPos{Pos: pos, Leaf: n, Path: append([]byte(nil), path...)})
 	}
@@ -83,10 +59,14 @@ func (t *Trie) walkLeaves(n Ptr, pos Pos, path []byte, fn func(LeafPos) bool) bo
 		panic(fmt.Sprintf("trie: malformed trie: cell %d at digit number %d reached with %d known path digits", ci, i, len(path)))
 	}
 	left := append(append([]byte(nil), path[:i]...), cell.DV)
-	if !t.walkLeaves(cell.LP, Pos{Cell: ci, Side: SideLeft}, left, fn) {
-		return false
+	// The left subtree's entire range tops out at its bound; skip it
+	// when from lies above.
+	if from == "" || t.alpha.KeyLEBound(from, left) {
+		if !t.walkLeaves(cell.LP, Pos{Cell: ci, Side: SideLeft}, left, from, fn) {
+			return false
+		}
 	}
-	return t.walkLeaves(cell.RP, Pos{Cell: ci, Side: SideRight}, path, fn)
+	return t.walkLeaves(cell.RP, Pos{Cell: ci, Side: SideRight}, path, from, fn)
 }
 
 // LeafPath returns the logical path of the first in-order leaf carrying

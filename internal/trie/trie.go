@@ -348,8 +348,17 @@ func (t *Trie) SearchFrom(c string, j int, path []byte) SearchResult {
 // the allocation-free lookup used by point reads, which only need the
 // leaf pointer.
 func (t *Trie) SearchAddr(c string) Ptr {
+	leaf, _ := t.SearchAddrFrom(c, 0)
+	return leaf
+}
+
+// SearchAddrFrom is SearchAddr starting with digit index j, inherited from
+// upper-level pages under MLTH, and also returns the digit index the scan
+// stopped at, which the search of the page below continues from. The
+// descent never consults the logical path, so a multi-page point lookup
+// stays allocation-free.
+func (t *Trie) SearchAddrFrom(c string, j int) (Ptr, int) {
 	n := t.root
-	j := 0
 	for n.IsEdge() {
 		cell := &t.cells[n.Cell()]
 		i := int(cell.DN)
@@ -369,7 +378,7 @@ func (t *Trie) SearchAddr(c string) Ptr {
 			n = cell.RP
 		}
 	}
-	return n
+	return n, j
 }
 
 // Clone returns a deep copy of the trie.

@@ -1017,7 +1017,7 @@ func TestWalkLeavesFromPrunes(t *testing.T) {
 				}
 			}
 			var got []Ptr
-			tr.WalkLeavesFrom(from, func(lp LeafPos) bool {
+			tr.WalkLeavesFrom(from, nil, func(lp LeafPos) bool {
 				if len(lp.Path) > 0 && !ascii.KeyLEBound(from, lp.Path) {
 					return true // boundary guard, as Range applies
 				}

@@ -190,51 +190,71 @@ func TestOpenAtErrors(t *testing.T) {
 	}
 }
 
+// TestConcurrentReadersAndWriter: readers share the file lock while a
+// writer grows the file, on a single-level file and on a multilevel one
+// whose readers share pool frames through the store's view and seek
+// their Ranges across pages.
 func TestConcurrentReadersAndWriter(t *testing.T) {
-	f, err := Create(Options{BucketCapacity: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	ks := workload.Uniform(13, 2000, 3, 9)
-	for _, k := range ks[:1000] {
-		if err := f.Put(k, []byte(k)); err != nil {
+	for _, opts := range []Options{
+		{BucketCapacity: 10},
+		{BucketCapacity: 10, PageCapacity: 16, CacheFrames: 64},
+	} {
+		f, err := Create(opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for r := 0; r < 4; r++ {
+		defer f.Close()
+		ks := workload.Uniform(13, 2000, 3, 9)
+		for _, k := range ks[:1000] {
+			if err := f.Put(k, []byte(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, 8)
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for i := 0; i < 2000; i++ {
+					k := ks[rng.Intn(1000)]
+					if v, err := f.Get(k); err != nil || string(v) != k {
+						errs <- fmt.Errorf("Get(%q) = %q, %v", k, v, err)
+						return
+					}
+					if i%4 != 0 {
+						continue
+					}
+					var got []string
+					if err := f.Range(k, "", func(key string, _ []byte) bool {
+						got = append(got, key)
+						return len(got) < 3
+					}); err != nil || len(got) == 0 || got[0] != k || !sort.StringsAreSorted(got) {
+						errs <- fmt.Errorf("Range(%q) = %q, %v", k, got, err)
+						return
+					}
+				}
+			}(int64(r))
+		}
 		wg.Add(1)
-		go func(seed int64) {
+		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 2000; i++ {
-				k := ks[rng.Intn(1000)]
-				if v, err := f.Get(k); err != nil || string(v) != k {
-					errs <- fmt.Errorf("Get(%q) = %q, %v", k, v, err)
+			for _, k := range ks[1000:] {
+				if err := f.Put(k, []byte(k)); err != nil {
+					errs <- err
 					return
 				}
 			}
-		}(int64(r))
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for _, k := range ks[1000:] {
-			if err := f.Put(k, []byte(k)); err != nil {
-				errs <- err
-				return
-			}
+		}()
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
 		}
-	}()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if f.Len() != len(ks) {
-		t.Fatalf("Len = %d, want %d", f.Len(), len(ks))
+		if f.Len() != len(ks) {
+			t.Fatalf("PageCapacity=%d: Len = %d, want %d", opts.PageCapacity, f.Len(), len(ks))
+		}
 	}
 }
 
