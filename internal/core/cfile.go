@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -478,19 +479,16 @@ func (e *ConcurrentFile) maintain(key string, sp *obs.Span) error {
 	return nil
 }
 
-// neighborPaths resolves the in-order neighbour buckets of addr and their
-// subtree paths under the flip lock.
-func (e *ConcurrentFile) neighborPaths(addr int32) (pred, succ int32, predPath, succPath []byte) {
+// neighborPaths resolves, under the flip lock, the leaf run of the bucket
+// key maps to and the leaves just before and after it, with their
+// logical paths — O(depth + run), never a walk over every leaf. The
+// neighbours' paths only pick subtree stripes: any leaf of a neighbour's
+// run would serve, since the stripe keys are advisory contention shaping,
+// not correctness (the latches and the re-verification under them are).
+func (e *ConcurrentFile) neighborPaths(key string) trie.LeafRun {
 	e.trieMu.RLock()
 	defer e.trieMu.RUnlock()
-	pred, succ = e.inner.trie.NeighborBuckets(addr)
-	if pred >= 0 {
-		predPath, _ = e.inner.trie.LeafPath(pred)
-	}
-	if succ >= 0 {
-		succPath, _ = e.inner.trie.LeafPath(succ)
-	}
-	return pred, succ, predPath, succPath
+	return e.inner.trie.RunAt(key)
 }
 
 // maintainOnce is one guarded-maintenance attempt; retry reports that the
@@ -501,17 +499,21 @@ func (e *ConcurrentFile) maintainOnce(key string, sp *obs.Span) (retry bool, err
 		return false, nil
 	}
 	addr := leaf.Addr()
-	pred, succ, predPath, succPath := e.neighborPaths(addr)
+	run := e.neighborPaths(key)
+	if run.Addr() != addr {
+		return true, nil // a flip moved the key since the arena search
+	}
+	pred, succ := run.Neighbors()
 	if pred < 0 && succ < 0 {
 		return false, nil // the file's only bucket: no guarantee possible nor needed
 	}
 	ks := make([]int, 0, 3)
 	ks = append(ks, e.stripes.KeyOf(path))
 	if pred >= 0 {
-		ks = append(ks, e.stripes.KeyOf(predPath))
+		ks = append(ks, e.stripes.KeyOf(run.Pred.Path))
 	}
 	if succ >= 0 {
-		ks = append(ks, e.stripes.KeyOf(succPath))
+		ks = append(ks, e.stripes.KeyOf(run.Succ.Path))
 	}
 	unlock := e.lockSubtrees(sp, ks...)
 	defer unlock()
@@ -522,12 +524,13 @@ func (e *ConcurrentFile) maintainOnce(key string, sp *obs.Span) (retry bool, err
 	if cur := e.arena.Search(key); cur.IsNil() || cur.Addr() != addr {
 		return true, nil
 	}
-	if p2, s2, _, _ := e.neighborPaths(addr); p2 != pred || s2 != succ {
+	r2 := e.neighborPaths(key)
+	if p2, s2 := r2.Neighbors(); r2.Addr() != addr || p2 != pred || s2 != succ {
 		return true, nil
 	}
 	b, err := e.readLatched(addr)
 	if err != nil {
-		return false, err
+		return probeFailed(err)
 	}
 	if 2*b.Len() >= e.inner.cfg.Capacity {
 		return false, nil // a concurrent insert resolved the underflow
@@ -540,20 +543,20 @@ func (e *ConcurrentFile) maintainOnce(key string, sp *obs.Span) (retry bool, err
 	if succ >= 0 {
 		sb, err := e.readLatched(succ)
 		if err != nil {
-			return false, err
+			return probeFailed(err)
 		}
 		if e.inner.mergeFits(sb, b, nil) {
-			return false, e.mergeLatched(addr, succ, true)
+			return false, e.mergeLatched(key, addr, succ, true)
 		}
 		nbAddr, nbLen, nbIsSuc = succ, sb.Len(), true
 	}
 	if pred >= 0 {
 		pb, err := e.readLatched(pred)
 		if err != nil {
-			return false, err
+			return probeFailed(err)
 		}
 		if e.inner.mergeFits(pb, b, b.Bound()) {
-			return false, e.mergeLatched(addr, pred, false)
+			return false, e.mergeLatched(key, addr, pred, false)
 		}
 		if nbAddr < 0 || pb.Len() > nbLen {
 			nbAddr, nbLen, nbIsSuc = pred, pb.Len(), false
@@ -562,7 +565,21 @@ func (e *ConcurrentFile) maintainOnce(key string, sp *obs.Span) (retry bool, err
 	if nbAddr < 0 {
 		return false, nil
 	}
-	return false, e.borrowLatched(addr, nbAddr, nbIsSuc)
+	return false, e.borrowLatched(key, addr, nbAddr, nbIsSuc)
+}
+
+// probeFailed maps a failed probe read to maintainOnce's result. The
+// stripes need not exclude a concurrent merge that frees a probed bucket
+// after the re-verification (they are advisory), so a freed slot means
+// the neighbourhood moved: retry. Any other error is real. A freed slot
+// the trie still reaches would be damage; maintenance is optional work,
+// so it is left to the reads of that bucket and to CheckInvariants and
+// Scrub to report.
+func probeFailed(err error) (retry bool, _ error) {
+	if errors.Is(err, store.ErrNotAllocated) {
+		return true, nil
+	}
+	return false, err
 }
 
 // readLatched reads bucket addr under its read latch — the probe used by
@@ -575,32 +592,37 @@ func (e *ConcurrentFile) readLatched(addr int32) (*bucket.Bucket, error) {
 	return b, err
 }
 
-// adjacent re-verifies, under the flip lock, that nbAddr is still addr's
-// in-order neighbour on the expected side. Both write latches are held by
-// the caller, which pins the adjacency from here on: any operation that
-// would change it (a split of either bucket, a merge involving either)
-// must hold one of those latches.
-func (e *ConcurrentFile) adjacent(addr, nbAddr int32, nbIsSucc bool) bool {
-	e.trieMu.RLock()
-	defer e.trieMu.RUnlock()
-	pred, succ := e.inner.trie.NeighborBuckets(addr)
+// adjacent re-verifies, under the flip lock, that key still maps to addr
+// and that nbAddr is still addr's in-order neighbour on the expected side,
+// and returns addr's leaf run. Both write latches are held by the caller,
+// which pins the mapping, the run and the adjacency from here on: any
+// operation that would change them (a split of either bucket, a merge
+// involving either) must hold one of those latches.
+func (e *ConcurrentFile) adjacent(key string, addr, nbAddr int32, nbIsSucc bool) ([]trie.LeafPos, bool) {
+	run := e.neighborPaths(key)
+	nb, succ := run.Neighbors()
 	if nbIsSucc {
-		return succ == nbAddr
+		nb = succ
 	}
-	return pred == nbAddr
+	if run.Addr() != addr || nb != nbAddr {
+		return nil, false
+	}
+	return run.Leaves, true
 }
 
-// mergeLatched performs a guaranteed-load merge of bucket addr into its
-// neighbour under both write latches (ascending address order). The
-// adjacency and the fit are re-verified under the latches; the merge
-// itself — store writes and the trie repoint — runs under the flip lock,
-// with the same publication order as the sequential engine's mergeInto:
-// the grown neighbour is written before the trie repoints addr's leaves,
-// and the freed slot is released last.
-func (e *ConcurrentFile) mergeLatched(addr, nbAddr int32, nbIsSucc bool) error {
+// mergeLatched performs a guaranteed-load merge of bucket addr, which
+// the deleted key maps to, into its neighbour under both write latches
+// (ascending address order). The adjacency and the fit are re-verified
+// under the latches; the merge itself — store writes and the trie repoint
+// of the run adjacent found — runs under the flip lock, with the same
+// publication order as the sequential engine's mergeInto: the grown
+// neighbour is written before the trie repoints addr's leaves, and the
+// freed slot is released last.
+func (e *ConcurrentFile) mergeLatched(key string, addr, nbAddr int32, nbIsSucc bool) error {
 	unlock := e.latches.LockPair(addr, nbAddr)
 	defer unlock()
-	if !e.adjacent(addr, nbAddr, nbIsSucc) {
+	run, ok := e.adjacent(key, addr, nbAddr, nbIsSucc)
+	if !ok {
 		return nil
 	}
 	b, err := e.inner.st.Read(addr)
@@ -624,7 +646,7 @@ func (e *ConcurrentFile) mergeLatched(addr, nbAddr int32, nbIsSucc bool) error {
 	e.trieMu.Lock()
 	defer e.trieMu.Unlock()
 	base := e.syncDown()
-	err = e.inner.mergeInto(addr, b, nbAddr, nb, nbIsSucc)
+	err = e.inner.mergeInto(addr, b, nbAddr, nb, nbIsSucc, run)
 	e.syncUp(base)
 	return err
 }
@@ -633,10 +655,10 @@ func (e *ConcurrentFile) mergeLatched(addr, nbAddr int32, nbIsSucc bool) error {
 // its neighbour, under both write latches in ascending address order,
 // with the same re-verify discipline as mergeLatched and the boundary
 // flip under the flip lock.
-func (e *ConcurrentFile) borrowLatched(addr, nbAddr int32, nbIsSucc bool) error {
+func (e *ConcurrentFile) borrowLatched(key string, addr, nbAddr int32, nbIsSucc bool) error {
 	unlock := e.latches.LockPair(addr, nbAddr)
 	defer unlock()
-	if !e.adjacent(addr, nbAddr, nbIsSucc) {
+	if _, ok := e.adjacent(key, addr, nbAddr, nbIsSucc); !ok {
 		return nil
 	}
 	b, err := e.inner.st.Read(addr)

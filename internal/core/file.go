@@ -286,7 +286,7 @@ func (f *File) DeleteOp(key string, sp *obs.Span) error {
 		return err
 	}
 	f.nkeys--
-	err = f.maintainAfterDelete(res, addr, b)
+	err = f.maintainAfterDelete(key, res, addr, b)
 	sp.Mark(obs.StageMerge)
 	return err
 }

@@ -8,9 +8,10 @@ import (
 	"triehash/internal/trie"
 )
 
-// maintainAfterDelete applies the configured merge policy after a record
-// was removed from bucket addr (in-memory image b, already written back).
-func (f *File) maintainAfterDelete(res trie.SearchResult, addr int32, b *bucket.Bucket) error {
+// maintainAfterDelete applies the configured merge policy after the record
+// for key was removed from bucket addr (in-memory image b, already written
+// back); res is key's search result.
+func (f *File) maintainAfterDelete(key string, res trie.SearchResult, addr int32, b *bucket.Bucket) error {
 	switch f.cfg.Merge {
 	case MergeNone:
 		return nil
@@ -22,7 +23,7 @@ func (f *File) maintainAfterDelete(res trie.SearchResult, addr int32, b *bucket.
 		}
 		return f.rotationPolicy(addr)
 	case MergeGuaranteed:
-		return f.guaranteedPolicy(addr, b)
+		return f.guaranteedPolicy(key, addr, b)
 	default:
 		return fmt.Errorf("core: unknown merge policy %d", f.cfg.Merge)
 	}
@@ -98,18 +99,17 @@ func (f *File) mergeSiblingsPolicy(res trie.SearchResult, addr int32, b *bucket.
 // guaranteedPolicy is THCL's deletion rule (Section 4.3): when a bucket
 // falls under 50% load it merges with a neighbour if the union fits, or
 // borrows keys from a neighbour otherwise — the same guarantee a B-tree
-// gives. Shared leaves make any two successive buckets mergeable.
-func (f *File) guaranteedPolicy(addr int32, b *bucket.Bucket) error {
+// gives. Shared leaves make any two successive buckets mergeable. The
+// deleted key still maps to addr, so it locates addr's leaf run and both
+// neighbours in O(depth + run).
+func (f *File) guaranteedPolicy(key string, addr int32, b *bucket.Bucket) error {
 	if 2*b.Len() >= f.cfg.Capacity {
 		return nil
 	}
-	pred, succ := f.trie.NeighborBuckets(addr)
+	run := f.trie.RunAt(key)
+	pred, succ := run.Neighbors()
 	if pred < 0 && succ < 0 {
-		// Last bucket of the file: no guarantee possible (nor needed).
-		if b.Len() == 0 && f.nkeys == 0 {
-			return nil
-		}
-		return nil
+		return nil // last bucket of the file: no guarantee possible (nor needed)
 	}
 	// Prefer whichever neighbour allows a full merge; otherwise borrow
 	// from the fuller one.
@@ -124,7 +124,7 @@ func (f *File) guaranteedPolicy(addr int32, b *bucket.Bucket) error {
 			return err
 		}
 		if f.mergeFits(sb, b, nil) {
-			return f.mergeInto(addr, b, succ, sb, true)
+			return f.mergeInto(addr, b, succ, sb, true, run.Leaves)
 		}
 		nbAddr, nb, nbIsSuc = succ, sb, true
 	}
@@ -134,7 +134,7 @@ func (f *File) guaranteedPolicy(addr int32, b *bucket.Bucket) error {
 			return err
 		}
 		if f.mergeFits(pb, b, b.Bound()) {
-			return f.mergeInto(addr, b, pred, pb, false)
+			return f.mergeInto(addr, b, pred, pb, false, run.Leaves)
 		}
 		if nb == nil || pb.Len() > nb.Len() {
 			nbAddr, nb, nbIsSuc = pred, pb, false
@@ -147,10 +147,10 @@ func (f *File) guaranteedPolicy(addr int32, b *bucket.Bucket) error {
 }
 
 // mergeInto moves every record of bucket addr into neighbour nbAddr,
-// repoints addr's leaves and frees the bucket. With CollapseOnMerge the
-// now-redundant cells are removed, otherwise they stay (the paper's
-// preferred trade-off for concurrency).
-func (f *File) mergeInto(addr int32, b *bucket.Bucket, nbAddr int32, nb *bucket.Bucket, nbIsSucc bool) error {
+// repoints run — addr's leaves, as trie.RunAt found them — and frees the
+// bucket. With CollapseOnMerge the now-redundant cells are removed,
+// otherwise they stay (the paper's preferred trade-off for concurrency).
+func (f *File) mergeInto(addr int32, b *bucket.Bucket, nbAddr int32, nb *bucket.Bucket, nbIsSucc bool, run []trie.LeafPos) error {
 	for i := 0; i < b.Len(); i++ {
 		r := b.At(i)
 		nb.Put(r.Key, r.Value)
@@ -162,7 +162,7 @@ func (f *File) mergeInto(addr int32, b *bucket.Bucket, nbAddr int32, nb *bucket.
 	if err := f.st.Write(nbAddr, nb); err != nil {
 		return err
 	}
-	f.trie.RepointLeaves(addr, nbAddr)
+	f.trie.RepointLeaves(run, nbAddr)
 	if f.cfg.CollapseOnMerge {
 		f.trie.Collapse()
 	}

@@ -134,10 +134,11 @@ func (f *File) freeBestEffort(addr int32) {
 
 // redistributeToSuccessor shifts the top keys of the overflowing bucket
 // into its in-order successor when that bucket has room (Section 4.4),
-// aiming at an even load across the two buckets. Reports whether the
-// overflow was resolved.
+// aiming at an even load across the two buckets. Any key of b locates the
+// successor through addr's leaf run. Reports whether the overflow was
+// resolved.
 func (f *File) redistributeToSuccessor(addr int32, b *bucket.Bucket) (bool, error) {
-	_, succ := f.trie.NeighborBuckets(addr)
+	_, succ := f.trie.RunAt(b.At(0).Key).Neighbors()
 	if succ < 0 {
 		return false, nil
 	}
@@ -202,7 +203,7 @@ func (f *File) redistributeToSuccessor(addr int32, b *bucket.Bucket) (bool, erro
 // redistributeToPredecessor shifts the bottom keys of the overflowing
 // bucket into its in-order predecessor when that bucket has room.
 func (f *File) redistributeToPredecessor(addr int32, b *bucket.Bucket) (bool, error) {
-	pred, _ := f.trie.NeighborBuckets(addr)
+	pred, _ := f.trie.RunAt(b.At(0).Key).Neighbors()
 	if pred < 0 {
 		return false, nil
 	}

@@ -71,30 +71,17 @@ func (t *Trie) SetBoundary(splitKey string, s []byte, old, low, high int32, mode
 		return t.insertChain(res.Pos, res.Path, s, low, high, mode)
 	}
 
-	// General path: locate the contiguous in-order run of leaves
-	// carrying old and place the boundary within it.
-	leaves := t.InorderLeaves()
-	lo, hi := -1, -1
-	for q, lp := range leaves {
-		if !lp.Leaf.IsNil() && lp.Leaf.IsLeaf() && lp.Leaf.Addr() == old {
-			if lo < 0 {
-				lo = q
-			}
-			hi = q
-		}
-	}
-	if lo < 0 {
-		panic(fmt.Sprintf("trie: SetBoundary: no leaf carries bucket %d", old))
-	}
-
+	// General path: take the contiguous in-order run of leaves carrying
+	// old around splitKey and place the boundary within it.
+	leaves := t.RunAt(splitKey).Leaves
 	var st ExpandStats
 	straddle := -1 // first run index whose bound exceeds s
 	exact := false // boundary coincides with a leaf bound
-	for q := lo; q <= hi; q++ {
-		cmp := t.alpha.ComparePathBounds(leaves[q].Path, s)
+	for q, lp := range leaves {
+		cmp := t.alpha.ComparePathBounds(lp.Path, s)
 		if cmp <= 0 {
 			if low != old {
-				t.setPtr(leaves[q].Pos, Leaf(low))
+				t.setPtr(lp.Pos, Leaf(low))
 				st.Repointed++
 			}
 			if cmp == 0 {
@@ -116,8 +103,8 @@ func (t *Trie) SetBoundary(splitKey string, s []byte, old, low, high int32, mode
 		st.NewNilLeaves += cs.NewNilLeaves
 		straddle++
 	}
-	for q := straddle; q <= hi; q++ {
-		t.setPtr(leaves[q].Pos, Leaf(high))
+	for _, lp := range leaves[straddle:] {
+		t.setPtr(lp.Pos, Leaf(high))
 		st.Repointed++
 	}
 	return st

@@ -2,6 +2,7 @@ package trie
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -29,7 +30,7 @@ func (t *Trie) InorderLeaves() []LeafPos {
 
 // WalkLeaves calls fn for each leaf in in-order until fn returns false.
 func (t *Trie) WalkLeaves(fn func(LeafPos) bool) {
-	t.walkLeaves(t.root, RootPos, nil, "", fn)
+	t.walkLeaves(t.root, RootPos, nil, "", false, fn)
 }
 
 // WalkLeavesFrom is WalkLeaves starting at the leaf whose range contains
@@ -41,14 +42,25 @@ func (t *Trie) WalkLeaves(fn func(LeafPos) bool) {
 // carries its full logical path and the pruning compares full bounds. It
 // reports false when fn stopped the walk.
 func (t *Trie) WalkLeavesFrom(from string, prefix []byte, fn func(LeafPos) bool) bool {
-	return t.walkLeaves(t.root, RootPos, prefix, from, fn)
+	return t.walkLeaves(t.root, RootPos, prefix, from, false, fn)
+}
+
+// WalkLeavesBackFrom is the descending twin of WalkLeavesFrom over the
+// whole trie: it calls fn for the leaf whose range contains from and then
+// for each leaf before it, in descending in-order, until fn returns
+// false. Subtrees whose entire key range lies above from are pruned, so
+// the walk costs O(depth + leaves visited); an empty from starts at the
+// last leaf. It reports false when fn stopped the walk.
+func (t *Trie) WalkLeavesBackFrom(from string, fn func(LeafPos) bool) bool {
+	return t.walkLeaves(t.root, RootPos, nil, from, true, fn)
 }
 
 // walkLeaves traverses the subtrie at pointer n located at position pos with
-// logical-path prefix path, pruning left subtrees wholly below from. It
-// returns false when fn aborted the walk. The path slice passed to fn is
-// freshly allocated per leaf.
-func (t *Trie) walkLeaves(n Ptr, pos Pos, path []byte, from string, fn func(LeafPos) bool) bool {
+// logical-path prefix path, in ascending in-order pruning left subtrees
+// wholly below from, or with back in descending in-order pruning right
+// subtrees wholly above from. It returns false when fn aborted the walk.
+// The path slice passed to fn is freshly allocated per leaf.
+func (t *Trie) walkLeaves(n Ptr, pos Pos, path []byte, from string, back bool, fn func(LeafPos) bool) bool {
 	if n.IsLeaf() {
 		return fn(LeafPos{Pos: pos, Leaf: n, Path: append([]byte(nil), path...)})
 	}
@@ -59,32 +71,84 @@ func (t *Trie) walkLeaves(n Ptr, pos Pos, path []byte, from string, fn func(Leaf
 		panic(fmt.Sprintf("trie: malformed trie: cell %d at digit number %d reached with %d known path digits", ci, i, len(path)))
 	}
 	left := append(append([]byte(nil), path[:i]...), cell.DV)
-	// The left subtree's entire range tops out at its bound; skip it
-	// when from lies above.
-	if from == "" || t.alpha.KeyLEBound(from, left) {
-		if !t.walkLeaves(cell.LP, Pos{Cell: ci, Side: SideLeft}, left, from, fn) {
+	lpos, rpos := Pos{Cell: ci, Side: SideLeft}, Pos{Cell: ci, Side: SideRight}
+	// The left subtree's entire range tops out at its bound and the right
+	// subtree's lies above it: from's leaf is on the left exactly when
+	// from falls at or below that bound.
+	if !back {
+		if from == "" || t.alpha.KeyLEBound(from, left) {
+			if !t.walkLeaves(cell.LP, lpos, left, from, back, fn) {
+				return false
+			}
+		}
+		return t.walkLeaves(cell.RP, rpos, path, from, back, fn)
+	}
+	if from == "" || !t.alpha.KeyLEBound(from, left) {
+		if !t.walkLeaves(cell.RP, rpos, path, from, back, fn) {
 			return false
 		}
 	}
-	return t.walkLeaves(cell.RP, Pos{Cell: ci, Side: SideRight}, path, from, fn)
+	return t.walkLeaves(cell.LP, lpos, left, from, back, fn)
 }
 
-// LeafPath returns the logical path of the first in-order leaf carrying
-// bucket address addr, and whether one exists. The concurrent engine's
-// maintenance pass uses it to derive the subtree stripe of a merge
-// neighbour; any leaf of the bucket's run serves, since the stripe keys
-// are advisory contention shaping, not correctness.
-func (t *Trie) LeafPath(addr int32) ([]byte, bool) {
-	var path []byte
-	found := false
-	t.WalkLeaves(func(lp LeafPos) bool {
-		if !lp.Leaf.IsNil() && lp.Leaf.Addr() == addr {
-			path, found = lp.Path, true
+// LeafRun is the contiguous in-order run of leaves one bucket owns under
+// THCL, together with the leaves just before and after it.
+type LeafRun struct {
+	Leaves []LeafPos // the run, ascending; never empty
+	// Pred and Succ are the leaves adjacent to the run; Leaf is Nil at
+	// either end of the trie.
+	Pred, Succ LeafPos
+}
+
+// Addr returns the bucket address the run carries (-1 for a run of nil
+// leaves).
+func (r LeafRun) Addr() int32 { return addrOf(r.Leaves[0].Leaf) }
+
+// Neighbors returns the bucket addresses of the leaves just before and
+// after the run: -1 at an end of the trie or next to a nil leaf.
+func (r LeafRun) Neighbors() (pred, succ int32) {
+	return addrOf(r.Pred.Leaf), addrOf(r.Succ.Leaf)
+}
+
+// addrOf returns the bucket address a leaf carries, -1 for the nil leaf.
+func addrOf(p Ptr) int32 {
+	if p.IsNil() {
+		return -1
+	}
+	return p.Addr()
+}
+
+// RunAt returns the run of leaves carrying the bucket that key maps to,
+// with the leaves just before and after it. Any key the bucket owns
+// locates the same run. THCL maintenance — guaranteed-load merging,
+// redistribution and boundary placement inside a shared-leaf run — needs
+// nothing more, and the two walks out of key's leaf cost O(depth + run):
+// a root-to-leaf descent each plus the run, never the whole trie.
+func (t *Trie) RunAt(key string) LeafRun {
+	r := LeafRun{Pred: LeafPos{Leaf: Nil}, Succ: LeafPos{Leaf: Nil}}
+	t.WalkLeavesBackFrom(key, func(lp LeafPos) bool {
+		if len(r.Leaves) > 0 && lp.Leaf != r.Leaves[0].Leaf {
+			r.Pred = lp
 			return false
 		}
+		r.Leaves = append(r.Leaves, lp)
 		return true
 	})
-	return path, found
+	slices.Reverse(r.Leaves)
+	own, skip := r.Leaves[len(r.Leaves)-1].Leaf, true
+	t.WalkLeavesFrom(key, nil, func(lp LeafPos) bool {
+		if skip { // key's own leaf, already the run's last
+			skip = false
+			return true
+		}
+		if lp.Leaf != own {
+			r.Succ = lp
+			return false
+		}
+		r.Leaves = append(r.Leaves, lp)
+		return true
+	})
+	return r
 }
 
 // InorderLeafPtrs returns every leaf pointer in in-order without computing

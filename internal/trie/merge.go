@@ -126,22 +126,16 @@ func (t *Trie) Vacuum() int {
 	return reclaimed
 }
 
-// RepointLeaves makes every leaf currently carrying bucket address from
-// carry to instead, returning how many were repointed. THCL bucket merging
-// (Section 4.3) uses it: the freed bucket's leaves simply join the
-// survivor, with node removal decoupled and optional.
-func (t *Trie) RepointLeaves(from, to int32) int {
-	if t.LeafCount(from) == 0 {
-		return 0
+// RepointLeaves makes the given leaves — a bucket's run, as RunAt
+// returns it — carry bucket address to instead, returning how many were
+// repointed. THCL bucket merging (Section 4.3) uses it: the freed bucket's
+// leaves simply join the survivor, with node removal decoupled and
+// optional.
+func (t *Trie) RepointLeaves(run []LeafPos, to int32) int {
+	for _, lp := range run {
+		t.SetLeaf(lp.Pos, to)
 	}
-	n := 0
-	for _, lp := range t.InorderLeaves() {
-		if !lp.Leaf.IsNil() && lp.Leaf.Addr() == from {
-			t.setPtr(lp.Pos, Leaf(to))
-			n++
-		}
-	}
-	return n
+	return len(run)
 }
 
 // Collapse removes every cell both of whose pointers are leaves carrying
@@ -175,33 +169,6 @@ func (t *Trie) Collapse() int {
 		t.MergeSiblings(found, keep)
 		removed++
 	}
-}
-
-// NeighborBuckets returns the bucket addresses whose leaves immediately
-// precede and follow addr's in-order leaf run. A result of -1 means there
-// is no such neighbour (ends of the file, or a nil leaf next door).
-func (t *Trie) NeighborBuckets(addr int32) (pred, succ int32) {
-	pred, succ = -1, -1
-	prev := Nil
-	prevSeen := false
-	inRun := false
-	t.WalkLeaves(func(lp LeafPos) bool {
-		isAddr := !lp.Leaf.IsNil() && lp.Leaf.Addr() == addr
-		if isAddr && !inRun {
-			inRun = true
-			if prevSeen && !prev.IsNil() {
-				pred = prev.Addr()
-			}
-		} else if !isAddr && inRun {
-			if !lp.Leaf.IsNil() {
-				succ = lp.Leaf.Addr()
-			}
-			return false
-		}
-		prev, prevSeen = lp.Leaf, true
-		return true
-	})
-	return pred, succ
 }
 
 // findReferrer locates the pointer slot holding an edge to cell ci.

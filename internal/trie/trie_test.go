@@ -1,8 +1,10 @@
 package trie
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -518,7 +520,7 @@ func TestRepointAndCollapse(t *testing.T) {
 	tr.SetBoundary("g", []byte("g"), 0, 0, 1, ModeTHCL)
 	tr.SetBoundary("s", []byte("s"), 1, 1, 2, ModeTHCL)
 	// THCL merge of buckets 1 and 2: repoint 2's leaves to 1.
-	n := tr.RepointLeaves(2, 1)
+	n := tr.RepointLeaves(tr.RunAt("z").Leaves, 1)
 	if n != 1 {
 		t.Fatalf("repointed %d", n)
 	}
@@ -1034,4 +1036,52 @@ func TestWalkLeavesFromPrunes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestWalkLeavesBackFrom: the descending walk from the end is the full
+// in-order walk reversed, and from any key it starts at Search(key)'s leaf
+// and visits exactly the leaves up to it, in descending order.
+func TestWalkLeavesBackFrom(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		tr := buildRandomTrie(seed, 25)
+		all := tr.InorderLeaves()
+		var back []LeafPos
+		tr.WalkLeavesBackFrom("", func(lp LeafPos) bool {
+			back = append(back, lp)
+			return true
+		})
+		slices.Reverse(back)
+		if !sameLeaves(back, all) {
+			t.Fatalf("seed %d: reverse walk from the end differs from InorderLeaves reversed", seed)
+		}
+		rng := rand.New(rand.NewSource(seed + 91))
+		for i := 0; i < 100; i++ {
+			k := randKey(rng)
+			res := tr.Search(k)
+			at := slices.IndexFunc(all, func(lp LeafPos) bool { return lp.Pos == res.Pos })
+			var got []LeafPos
+			tr.WalkLeavesBackFrom(k, func(lp LeafPos) bool {
+				got = append(got, lp)
+				return true
+			})
+			if len(got) == 0 || got[0].Pos != res.Pos || !bytes.Equal(got[0].Path, res.Path) {
+				t.Fatalf("seed %d: reverse walk from %q does not start at Search's leaf %+v", seed, k, res.Pos)
+			}
+			slices.Reverse(got)
+			if !sameLeaves(got, all[:at+1]) {
+				t.Fatalf("seed %d: reverse walk from %q visits %d leaves, want the %d up to its leaf", seed, k, len(got), at+1)
+			}
+			// A stopped walk reports false and visits nothing more.
+			n := 0
+			if tr.WalkLeavesBackFrom(k, func(LeafPos) bool { n++; return false }) || n != 1 {
+				t.Fatalf("seed %d: stopped reverse walk from %q ran on (%d leaves)", seed, k, n)
+			}
+		}
+	}
+}
+
+func sameLeaves(a, b []LeafPos) bool {
+	return slices.EqualFunc(a, b, func(x, y LeafPos) bool {
+		return x.Pos == y.Pos && x.Leaf == y.Leaf && bytes.Equal(x.Path, y.Path)
+	})
 }
