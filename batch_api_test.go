@@ -130,80 +130,90 @@ func TestBatchOnClosedFile(t *testing.T) {
 	}
 }
 
-// TestCachePolicies: both pools serve the same contents and report hits
-// through Stats; the default is the sharded CLOCK pool.
+// TestCachePolicies: the pool CacheFrames installs by default serves the
+// file's contents, reports hits through Stats, and is the sharded CLOCK
+// pool.
 func TestCachePolicies(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		policy CachePolicy
-	}{{"clock-default", CacheClock}, {"lru", CacheLRU}} {
-		t.Run(tc.name, func(t *testing.T) {
-			f, err := Create(Options{BucketCapacity: 10, CacheFrames: 64, CachePolicy: tc.policy})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			ks := workload.Uniform(31, 1000, 3, 8)
-			for _, k := range ks {
-				if err := f.Put(k, []byte(k)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, k := range ks {
-				v, err := f.Get(k)
-				if err != nil || string(v) != k {
-					t.Fatalf("Get(%q) = %q, %v", k, v, err)
-				}
-			}
-			st := f.Stats()
-			if st.CacheHits+st.CacheMisses == 0 {
-				t.Fatal("pool reported no traffic through Stats")
-			}
-			if err := f.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			// The configured policy is the one installed.
-			isClock := store.AsSharded(f.eng.Store()) != nil
-			if (tc.policy == CacheClock) != isClock {
-				t.Fatalf("policy %v installed sharded=%v", tc.policy, isClock)
-			}
-		})
-	}
-}
-
-// TestCachedGetZeroAlloc is the acceptance gate for the cached Get hot
-// path: with the (default) CLOCK pool warm, a public Get allocates
-// nothing — the trie descent is path-free, the pool hit hands out a
-// shared snapshot instead of a clone, and the bucket search is
-// closure-free.
-func TestCachedGetZeroAlloc(t *testing.T) {
-	f, err := Create(Options{BucketCapacity: 20, CacheFrames: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	ks := workload.Uniform(41, 5000, 3, 10)
-	for _, k := range ks {
-		if err := f.Put(k, []byte(k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, k := range ks { // warm every bucket into the pool
-		if _, err := f.Get(k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var sink []byte
-	allocs := testing.AllocsPerRun(500, func() {
-		v, err := f.Get(ks[4242])
+	t.Run("clock-default", func(t *testing.T) {
+		f, err := Create(Options{BucketCapacity: 10, CacheFrames: 64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sink = v
+		defer f.Close()
+		ks := workload.Uniform(31, 1000, 3, 8)
+		for _, k := range ks {
+			if err := f.Put(k, []byte(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range ks {
+			v, err := f.Get(k)
+			if err != nil || string(v) != k {
+				t.Fatalf("Get(%q) = %q, %v", k, v, err)
+			}
+		}
+		st := f.Stats()
+		if st.CacheHits+st.CacheMisses == 0 {
+			t.Fatal("pool reported no traffic through Stats")
+		}
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if store.AsSharded(f.eng.Store()) == nil {
+			t.Fatal("CacheFrames installed no sharded pool")
+		}
 	})
-	_ = sink
-	if allocs != 0 {
-		t.Fatalf("cached Get allocates %v objects/op, want 0", allocs)
+}
+
+// TestCachedGetZeroAlloc is the acceptance gate for the cached Get hot
+// path: with the CLOCK pool warm, a public Get allocates nothing — the
+// trie descent is path-free, the pool hit hands out a shared snapshot
+// instead of a clone, and the bucket search is closure-free. The
+// concurrent engine's lock-free arena descent allocates nothing either,
+// with or without a pool, and neither engine allocates to report a
+// missing key.
+func TestCachedGetZeroAlloc(t *testing.T) {
+	for _, opts := range []Options{
+		{BucketCapacity: 20, CacheFrames: 4096},
+		{BucketCapacity: 20, Concurrent: true},
+		{BucketCapacity: 20, CacheFrames: 4096, Concurrent: true},
+	} {
+		f, err := Create(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		ks := workload.Uniform(41, 5000, 3, 10)
+		for _, k := range ks {
+			if err := f.Put(k, []byte(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range ks { // warm every bucket into the pool
+			if _, err := f.Get(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var sink []byte
+		allocs := testing.AllocsPerRun(500, func() {
+			v, err := f.Get(ks[4242])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink = v
+		})
+		_ = sink
+		if allocs != 0 {
+			t.Fatalf("%+v: cached Get allocates %v objects/op, want 0", opts, allocs)
+		}
+		allocs = testing.AllocsPerRun(500, func() {
+			if _, err := f.Get("zzzzzzzzzzzz"); !errors.Is(err, ErrNotFound) {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%+v: missing-key Get allocates %v objects/op, want 0", opts, allocs)
+		}
 	}
 }
 

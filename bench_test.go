@@ -7,9 +7,7 @@ import (
 
 	"triehash/internal/bench"
 	"triehash/internal/btree"
-	"triehash/internal/concurrent"
 	"triehash/internal/core"
-	"triehash/internal/keys"
 	"triehash/internal/store"
 	"triehash/internal/workload"
 )
@@ -241,10 +239,11 @@ func BenchmarkExtMultilevelTHCL(b *testing.B) { benchExperiment(b, "ext-mlth-thc
 // BenchmarkConcurrentGet measures reader scaling of the /VID87/ scheme:
 // lock-free trie traversal plus a shared bucket latch.
 func BenchmarkConcurrentGet(b *testing.B) {
-	f, err := concurrent.New(keys.ASCII, 50, 0)
+	f, err := Create(Options{BucketCapacity: 50, Concurrent: true})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer f.Close()
 	ks := microWorkload()
 	for _, k := range ks {
 		if err := f.Put(k, nil); err != nil {
@@ -266,10 +265,11 @@ func BenchmarkConcurrentGet(b *testing.B) {
 
 // BenchmarkConcurrentMixed: readers with a 10% write mix.
 func BenchmarkConcurrentMixed(b *testing.B) {
-	f, err := concurrent.New(keys.ASCII, 50, 0)
+	f, err := Create(Options{BucketCapacity: 50, Concurrent: true})
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer f.Close()
 	ks := microWorkload()
 	for _, k := range ks[:len(ks)/2] {
 		if err := f.Put(k, nil); err != nil {
@@ -362,58 +362,44 @@ func BenchmarkBulkLoadVsIncremental(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Buffer pool and batch path benchmarks (PR 2): the sharded CLOCK pool
-// against the global-mutex LRU, and batch lookups against their
-// sequential expansion. EXPERIMENTS.md records the headline numbers.
+// Buffer pool and batch path benchmarks: the sharded CLOCK pool's hit path,
+// and batch lookups against their sequential expansion. EXPERIMENTS.md
+// records the headline numbers.
 // ---------------------------------------------------------------------------
 
-// cachePolicies enumerates the pools in a fixed order for sub-benchmarks.
-var cachePolicies = []struct {
-	name   string
-	policy CachePolicy
-}{
-	{"lru", CacheLRU},
-	{"clock", CacheClock},
-}
-
 // BenchmarkConcurrentGetParallel: cache-hit Gets through the public File
-// at 8-way parallelism per core. Every bucket is resident, so the two
-// sub-benchmarks isolate the pools' hit paths: the LRU clones the bucket
-// and reorders its list under one mutex; the CLOCK pool serves a shared
-// snapshot and sets a reference bit under a shard read lock.
+// at 8-way parallelism per core. Every bucket is resident, so it isolates
+// the pool's hit path: the CLOCK pool serves a shared snapshot and sets a
+// reference bit under a shard read lock.
 func BenchmarkConcurrentGetParallel(b *testing.B) {
-	for _, p := range cachePolicies {
-		b.Run(p.name, func(b *testing.B) {
-			f, err := Create(Options{BucketCapacity: 50, CacheFrames: 8192, CachePolicy: p.policy})
-			if err != nil {
+	f, err := Create(Options{BucketCapacity: 50, CacheFrames: 8192})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	ks := microWorkload()
+	for _, k := range ks {
+		if err := f.Put(k, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, k := range ks { // warm the pool
+		if _, err := f.Get(k); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetParallelism(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if _, err := f.Get(ks[i%len(ks)]); err != nil {
 				b.Fatal(err)
 			}
-			defer f.Close()
-			ks := microWorkload()
-			for _, k := range ks {
-				if err := f.Put(k, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, k := range ks { // warm the pool
-				if _, err := f.Get(k); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetParallelism(8)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, err := f.Get(ks[i%len(ks)]); err != nil {
-						b.Fatal(err)
-					}
-					i++
-				}
-			})
-		})
-	}
+			i++
+		}
+	})
 }
 
 // BenchmarkBatchGet: one 256-key batch per iteration, against the same
@@ -470,39 +456,29 @@ func BenchmarkBatchGet(b *testing.B) {
 // BenchmarkShardedCache: raw pool hit throughput at the store layer,
 // parallel readers over a resident working set.
 func BenchmarkShardedCache(b *testing.B) {
-	for _, p := range cachePolicies {
-		b.Run(p.name, func(b *testing.B) {
-			mem := store.NewMem()
-			var st store.Store
-			if p.policy == CacheLRU {
-				st = store.NewCached(mem, 512)
-			} else {
-				st = store.NewSharded(mem, 512, 0)
-			}
-			const buckets = 256
-			for i := 0; i < buckets; i++ {
-				addr, err := st.Alloc()
-				if err != nil {
-					b.Fatal(err)
-				}
-				bk := bucketWith(fmt.Sprintf("k%d", addr))
-				if err := st.Write(addr, bk); err != nil {
-					b.Fatal(err)
-				}
-			}
-			views := store.NewViews(st)
-			b.SetParallelism(8)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := int32(0)
-				for pb.Next() {
-					if _, err := views.View(i%buckets, nil); err != nil {
-						b.Fatal(err)
-					}
-					i++
-				}
-			})
-		})
+	st := store.NewSharded(store.NewMem(), 512, 0)
+	const buckets = 256
+	for i := 0; i < buckets; i++ {
+		addr, err := st.Alloc()
+		if err != nil {
+			b.Fatal(err)
+		}
+		bk := bucketWith(fmt.Sprintf("k%d", addr))
+		if err := st.Write(addr, bk); err != nil {
+			b.Fatal(err)
+		}
 	}
+	views := store.NewViews(st)
+	b.SetParallelism(8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int32(0)
+		for pb.Next() {
+			if _, err := views.View(i%buckets, nil); err != nil {
+				b.Fatal(err)
+			}
+			i++
+		}
+	})
 }

@@ -22,17 +22,12 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	experiment := flag.String("experiment", "", "run a single experiment by id (default: all)")
 	csv := flag.Bool("csv", false, "emit comma-separated rows (for plotting) instead of aligned tables")
-	cache := flag.String("cache", "clock", "buffer pool policy for experiments that use one: clock (sharded) or lru")
 	procs := flag.Int("procs", 8, "worker goroutines for the contention experiment")
 	traceThreshold := flag.Duration("trace-threshold", -1,
 		"enable span tracing on every experiment and print an end-of-run span/contention summary; the value is the slow-op flight-recorder threshold (0 = adaptive rolling p99, <0 = tracing off)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /obs.json, /debug/vars and /debug/pprof on this address while experiments run")
 	flag.Parse()
 
-	if !bench.SetCachePolicy(*cache) {
-		fmt.Fprintf(os.Stderr, "thbench: -cache must be clock or lru, got %q\n", *cache)
-		os.Exit(2)
-	}
 	bench.SetContentionProcs(*procs)
 	if *traceThreshold >= 0 {
 		bench.SetTraceThreshold(*traceThreshold)

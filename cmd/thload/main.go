@@ -34,7 +34,6 @@ func main() {
 	sweep := flag.String("sweep", "", "sweep parameter: 'd' (Fig 10/11 style) or empty for the default middle split")
 	redist := flag.String("redist", "none", "redistribution: none, succ, pred or both")
 	frames := flag.Int("frames", 0, "buffer pool frames in front of the simulated disk (0 = no pool, the paper's model)")
-	cache := flag.String("cache", "clock", "buffer pool policy when -frames > 0: clock (sharded) or lru")
 	bulk := flag.Float64("bulkload", 0, "bulk-load the file at this fill in (0,1] instead of inserting incrementally (requires -order asc)")
 	bulkWorkers := flag.Int("bulk-workers", 1, "goroutines packing and writing buckets during -bulkload (1 = the sequential loader)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /obs.json, /debug/vars and /debug/pprof on this address during the sweep")
@@ -103,13 +102,8 @@ func main() {
 		}
 		for _, cfg := range configs(b, mode, rd, *order, *sweep) {
 			var pool store.Store = store.NewMem()
-			switch {
-			case *frames > 0 && *cache == "lru":
-				pool = store.NewCached(pool, *frames)
-			case *frames > 0 && *cache == "clock":
+			if *frames > 0 {
 				pool = store.NewSharded(pool, *frames, 0)
-			case *frames > 0:
-				fail("-cache must be clock or lru")
 			}
 			var f *core.File
 			var mu sync.Mutex

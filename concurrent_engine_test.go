@@ -527,6 +527,115 @@ func TestConcurrentBatch(t *testing.T) {
 	}
 }
 
+// TestConcurrentBatchDuringSplits races batches against splits: two
+// writers keep splitting buckets with single Puts while a third runs
+// PutBatch, and GetBatch must never miss one of the stable keys stored
+// before the race began, however often their buckets split under it.
+func TestConcurrentBatchDuringSplits(t *testing.T) {
+	f, err := Create(Options{BucketCapacity: 4, Concurrent: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	// A six-letter alphabet and short keys: buckets split often and many
+	// keys share one, so batches group several keys per bucket.
+	randKeys := func(rng *rand.Rand, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			kb := make([]byte, 1+rng.Intn(6))
+			for j := range kb {
+				kb[j] = byte('a' + rng.Intn(6))
+			}
+			out[i] = string(kb)
+		}
+		return out
+	}
+	stable := randKeys(rand.New(rand.NewSource(7)), 400)
+	sv := make([][]byte, len(stable))
+	for i := range sv {
+		sv[i] = []byte("s")
+	}
+	for i, err := range f.PutBatch(stable, sv) {
+		if err != nil {
+			t.Fatalf("PutBatch(%q): %v", stable[i], err)
+		}
+	}
+	splits := f.Stats().Splits
+	var fail atomic.Value
+	report := func(err error) { fail.CompareAndSwap(nil, err) }
+	var wg, writers sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(seed int64) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := randKeys(rng, 1)[0]
+				if err := f.Put(k, []byte("w")); err != nil {
+					report(fmt.Errorf("Put(%q): %w", k, err))
+					return
+				}
+			}
+		}(int64(w) + 31)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				vals, errs := f.GetBatch(stable)
+				for i := range stable {
+					if errs[i] != nil || vals[i] == nil {
+						report(fmt.Errorf("stable key %q lost during splits: %v", stable[i], errs[i]))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(97))
+		for round := 0; round < 30; round++ {
+			ks := randKeys(rng, 100)
+			vs := make([][]byte, len(ks))
+			for i := range vs {
+				vs[i] = []byte("b")
+			}
+			for i, err := range f.PutBatch(ks, vs) {
+				if err != nil {
+					report(fmt.Errorf("PutBatch(%q): %w", ks[i], err))
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	writers.Wait()
+	if err, _ := fail.Load().(error); err != nil {
+		t.Fatal(err)
+	}
+	if f.Stats().Splits == splits {
+		t.Fatal("no bucket split during the race")
+	}
+	for _, k := range stable {
+		if _, err := f.Get(k); err != nil {
+			t.Fatalf("stable key %q unreachable after the race: %v", k, err)
+		}
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestConcurrentPersistence round-trips a concurrent file through disk:
 // create, load, close, reopen concurrent (OpenAtWith), reopen sequential
 // (plain OpenAt), and scrub a healthy file to a clean report.

@@ -33,7 +33,8 @@ func buildDamagedDB(t *testing.T, n int) (string, []string) {
 // TestOpenAtDamagedMeta drives OpenAt against every flavour of metadata
 // damage: truncation, a flipped byte (the trailing CRC catches it) and a
 // zero-length file. Each must fall back to salvage and reproduce every
-// record.
+// record, and a salvaging OpenAtWith must keep the buffer pool it asks
+// for.
 func TestOpenAtDamagedMeta(t *testing.T) {
 	damage := map[string]func(t *testing.T, path string){
 		"truncated": func(t *testing.T, path string) {
@@ -63,24 +64,29 @@ func TestOpenAtDamagedMeta(t *testing.T) {
 	}
 	for name, inflict := range damage {
 		t.Run(name, func(t *testing.T) {
-			dir, ks := buildDamagedDB(t, 300)
-			inflict(t, filepath.Join(dir, "meta.th"))
-			f, err := OpenAt(dir)
-			if err != nil {
-				t.Fatalf("OpenAt did not salvage: %v", err)
-			}
-			defer f.Close()
-			if f.Len() != len(ks) {
-				t.Fatalf("salvaged Len = %d, want %d", f.Len(), len(ks))
-			}
-			for _, k := range ks {
-				v, err := f.Get(k)
-				if err != nil || string(v) != "v:"+k {
-					t.Fatalf("salvaged Get(%q) = %q, %v", k, v, err)
+			for _, opts := range []Options{{}, {CacheFrames: 64}} {
+				dir, ks := buildDamagedDB(t, 300)
+				inflict(t, filepath.Join(dir, "meta.th"))
+				f, err := OpenAtWith(dir, opts)
+				if err != nil {
+					t.Fatalf("OpenAtWith(%+v) did not salvage: %v", opts, err)
 				}
-			}
-			if err := f.CheckInvariants(); err != nil {
-				t.Fatal(err)
+				defer f.Close()
+				if f.Len() != len(ks) {
+					t.Fatalf("salvaged Len = %d, want %d", f.Len(), len(ks))
+				}
+				for _, k := range ks {
+					v, err := f.Get(k)
+					if err != nil || string(v) != "v:"+k {
+						t.Fatalf("salvaged Get(%q) = %q, %v", k, v, err)
+					}
+				}
+				if err := f.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				if st := f.Stats(); opts.CacheFrames > 0 && st.CacheHits+st.CacheMisses == 0 {
+					t.Fatalf("salvaged file with CacheFrames %d has no buffer pool", opts.CacheFrames)
+				}
 			}
 		})
 	}

@@ -160,7 +160,7 @@ func inferOrder(edges []GraphEdge) []lockClass {
 // emitted text is header + "name\tdesc" per tier in inferred order.
 var tierDesc = map[lockClass]string{
 	classFile:   "public File.mu — serializes the exported API surface per handle",
-	classWorld:  "engine world lock (ConcurrentFile.world / concurrent.File.structural) — exclusive mode quiesces every writer for scrub, meta save, invariant checks",
+	classWorld:  "engine world lock (ConcurrentFile.world) — exclusive mode quiesces every writer for scrub, meta save, invariant checks",
 	classStripe: "subtree stripes (concurrent.Stripes) — ascending, deduped subtree sets for structural changes",
 	classLatch:  "per-bucket RW latches — at most one held per worker outside LockPair, visited in ascending address order",
 	classFlip:   "trie flip lock (trieMu) — the engine's innermost lock: the publication window for split/merge trie flips and arena swaps",

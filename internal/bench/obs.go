@@ -16,28 +16,6 @@ var hook = &obs.Hook{}
 // (nil detaches).
 func Observe(o *obs.Observer) { hook.Set(o) }
 
-// cachePolicy is the buffer pool implementation experiments use when they
-// need "the" pool rather than comparing pools: "clock" (default) or "lru".
-var cachePolicy = "clock"
-
-// SetCachePolicy selects the pool implementation (cmd/thbench -cache).
-// It reports whether the name is valid.
-func SetCachePolicy(name string) bool {
-	if name != "clock" && name != "lru" {
-		return false
-	}
-	cachePolicy = name
-	return true
-}
-
-// newPool wraps s in the selected buffer pool.
-func newPool(s store.Store, frames int) store.Store {
-	if cachePolicy == "lru" {
-		return store.NewCached(s, frames)
-	}
-	return store.NewSharded(s, frames, 0)
-}
-
 // ObsCache quantifies the buffer pool the Options.CacheFrames knob buys:
 // the same workload runs against pools of increasing size and the table
 // reports the pool's hit/miss counters next to the transfers that still
@@ -57,7 +35,7 @@ func ObsCache() *Table {
 		mem := store.NewMem()
 		var st store.Store = mem
 		if frames > 0 {
-			st = newPool(mem, frames)
+			st = store.NewSharded(mem, frames, 0)
 		}
 		f, err := core.New(core.Config{Capacity: 20}, store.NewInstrumented(st, hook))
 		if err != nil {
@@ -80,7 +58,7 @@ func ObsCache() *Table {
 			t.AddRow(frames, 0, 0, "-", diskReads, "-")
 			continue
 		}
-		pool := store.AsCachePool(st)
+		pool := store.AsSharded(st)
 		hits, misses := pool.Hits(), pool.Misses()
 		t.AddRow(frames, hits, misses,
 			float64(hits)/float64(hits+misses)*100,

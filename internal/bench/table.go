@@ -146,7 +146,6 @@ func Registry() []Experiment {
 		{"ext-mainmemory", "Extension: in-core search, trie vs B-tree (Sec 6)", ExtMainMemory},
 		{"ext-dictionary", "Extension: trie size over a 20000-word dictionary (Sec 6)", ExtDictionary},
 		{"obs-cache", "Observability: buffer pool hit rates versus frame count", ObsCache},
-		{"obs-cache-sharded", "Buffer pools under concurrency: LRU vs sharded CLOCK", ObsCacheSharded},
 		{"contention", "Intra-op span profile of concurrent writers (latch vs structural lock)", Contention},
 	}
 }

@@ -1,3 +1,19 @@
+// Package concurrent holds the primitives of the concurrency scheme the
+// paper's conclusion sketches (/VID87/): because the trie only ever
+// appends cells and a bucket split publishes itself by flipping a single
+// leaf pointer, readers can traverse the trie without any lock — a writer
+// needs "only the leaf A and the variable N". The store-backed engine
+// core.ConcurrentFile is built from them:
+//
+//   - Arena is the lock-free, append-only mirror of the trie's cell table
+//     that readers search, and Mirror keeps it and the latch table in step
+//     with the authoritative trie.
+//   - Latches is the per-bucket RW latch table; LockPair is its one
+//     two-latch acquisition.
+//   - Stripes is the subtree-keyed structural lock table; SortKeys gives
+//     the order several stripes are locked in.
+//   - FanOut is the bounded work distributor of the batch paths and the
+//     parallel bulk loader.
 package concurrent
 
 import (
@@ -63,12 +79,6 @@ func NewArena(t *trie.Trie) *Arena {
 	a.root.Store(int32(t.Root()))
 	return a
 }
-
-// Cells returns the number of cells the arena holds.
-func (a *Arena) Cells() int { return int(a.ncells.Load()) }
-
-// Root returns the current root pointer.
-func (a *Arena) Root() trie.Ptr { return trie.Ptr(a.root.Load()) }
 
 func (a *Arena) cell(ci int32) *arenaCell {
 	return &a.chunks[ci>>arenaChunkShift].Load()[ci&(arenaChunkSize-1)]

@@ -23,9 +23,6 @@ func NewLatches(n int32) *Latches {
 	return l
 }
 
-// Len returns the number of addresses the table currently covers.
-func (l *Latches) Len() int { return len(*l.tab.Load()) }
-
 // Latch returns the latch for bucket address addr, growing the table if
 // addr is beyond it.
 func (l *Latches) Latch(addr int32) *sync.RWMutex {

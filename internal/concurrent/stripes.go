@@ -55,8 +55,8 @@ func (s *Stripes) KeyOf(path []byte) int {
 	return int(h % NumStripes)
 }
 
-// Lock locks stripe k. Callers locking more than one stripe must go
-// through Acquire or otherwise lock in ascending index order.
+// Lock locks stripe k. Callers locking more than one stripe lock them in
+// SortKeys order.
 func (s *Stripes) Lock(k int) { s.mus[k].Lock() }
 
 // Unlock unlocks stripe k.
@@ -80,20 +80,4 @@ func SortKeys(ks []int) []int {
 		}
 	}
 	return out
-}
-
-// Acquire locks the stripes named by ks — deduplicated, ascending index
-// order — and returns the unlock, which releases them in reverse. It is
-// the sanctioned multi-stripe acquisition site (the lockorder analyzer
-// flags a second stripe taken anywhere else).
-func (s *Stripes) Acquire(ks ...int) func() {
-	ord := SortKeys(ks)
-	for _, k := range ord {
-		s.mus[k].Lock()
-	}
-	return func() {
-		for i := len(ord) - 1; i >= 0; i-- {
-			s.mus[ord[i]].Unlock()
-		}
-	}
 }

@@ -32,7 +32,7 @@ const (
 	// EvCacheMiss is a buffer-pool read forwarded to the store.
 	EvCacheMiss
 	// EvCacheEvict is a buffer-pool frame eviction (CLOCK second chance
-	// exhausted or LRU tail dropped).
+	// exhausted).
 	EvCacheEvict
 	// EvFault is an injected storage fault tripping (FaultStore).
 	EvFault

@@ -11,11 +11,11 @@ import (
 
 // ShardedCache is a write-through buffer pool of bucket frames partitioned
 // into power-of-two shards (shard = addr & mask), each an independent
-// CLOCK (second chance) ring. Where the LRU pool (Cached) funnels every
-// hit through one global mutex to reorder a linked list, a CLOCK hit only
-// sets the frame's reference bit — one atomic store under a shard-local
-// read lock, with no list manipulation and no cross-shard contention — so
-// read throughput scales with the number of shards.
+// CLOCK (second chance) ring. Where an LRU list must be reordered under
+// one lock on every hit, a CLOCK hit only sets the frame's reference bit —
+// one atomic store under a shard-local read lock, with no list
+// manipulation and no cross-shard contention — so read throughput scales
+// with the number of shards.
 //
 // Frames hold immutable bucket snapshots: a Write or miss-fill installs a
 // fresh copy and never mutates one in place. That is what lets ReadView
@@ -304,9 +304,9 @@ func (c *ShardedCache) Free(addr int32) error {
 	return c.Store.Free(addr)
 }
 
-// Invalidate implements Invalidator, dropping addr's frame. Required when
-// a slot changes beneath the pool (Scrub clearing a quarantined slot on
-// the base store): a retained frame would resurrect the cleared bucket.
+// Invalidate drops addr's frame. Required when a slot changes beneath the
+// pool (Scrub clearing a quarantined slot on the base store): a retained
+// frame would resurrect the cleared bucket.
 func (c *ShardedCache) Invalidate(addr int32) {
 	c.shard(addr).drop(addr)
 }

@@ -322,18 +322,11 @@ func TestShardedStress(t *testing.T) {
 }
 
 func TestAsCachePool(t *testing.T) {
-	lru := NewCached(NewMem(), 4)
 	clock := NewSharded(NewMem(), 4, 2)
-	if AsCachePool(NewInstrumented(lru, nil)) == nil {
-		t.Fatal("AsCachePool missed the LRU pool through a wrapper")
-	}
-	if AsCachePool(NewInstrumented(clock, nil)) == nil {
-		t.Fatal("AsCachePool missed the CLOCK pool through a wrapper")
-	}
-	if AsCachePool(NewMem()) != nil {
-		t.Fatal("AsCachePool found a pool in a bare store")
-	}
 	if AsSharded(NewInstrumented(clock, nil)) != clock {
 		t.Fatal("AsSharded missed the pool through a wrapper")
+	}
+	if AsSharded(NewMem()) != nil {
+		t.Fatal("AsSharded found a pool in a bare store")
 	}
 }

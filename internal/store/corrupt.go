@@ -138,20 +138,13 @@ func Base(s Store) Store {
 	}
 }
 
-// Invalidator is the frame-eviction surface of the buffer pools.
-type Invalidator interface {
-	// Invalidate drops any cached frame for addr.
-	Invalidate(addr int32)
-}
-
-// InvalidateAddr drops addr's frame from every buffer pool in s's wrapper
-// chain. Needed when a slot is modified beneath the pools (ClearSlot on
-// the base store): a retained frame would resurrect the cleared bucket.
+// InvalidateAddr drops addr's frame from the buffer pool in s's wrapper
+// chain, if there is one. Needed when a slot is modified beneath the pool
+// (ClearSlot on the base store): a retained frame would resurrect the
+// cleared bucket.
 func InvalidateAddr(s Store, addr int32) {
-	for ; s != nil; s = Unwrap(s) {
-		if c, ok := s.(Invalidator); ok {
-			c.Invalidate(addr)
-		}
+	if c := AsSharded(s); c != nil {
+		c.Invalidate(addr)
 	}
 }
 

@@ -187,8 +187,8 @@ func (s *Instrumented) Free(addr int32) error {
 	return err
 }
 
-// Unwrapper is implemented by store wrappers (Instrumented, Cached,
-// FaultStore) exposing the store they decorate.
+// Unwrapper is implemented by store wrappers (Instrumented,
+// ShardedCache, FaultStore) exposing the store they decorate.
 type Unwrapper interface {
 	Unwrap() Store
 }
@@ -202,37 +202,10 @@ func Unwrap(s Store) Store {
 	return nil
 }
 
-// AsCached returns the first *Cached in s's wrapper chain, or nil.
-func AsCached(s Store) *Cached {
-	for ; s != nil; s = Unwrap(s) {
-		if c, ok := s.(*Cached); ok {
-			return c
-		}
-	}
-	return nil
-}
-
 // AsSharded returns the first *ShardedCache in s's wrapper chain, or nil.
 func AsSharded(s Store) *ShardedCache {
 	for ; s != nil; s = Unwrap(s) {
 		if c, ok := s.(*ShardedCache); ok {
-			return c
-		}
-	}
-	return nil
-}
-
-// CachePool is the counter surface every buffer pool implementation
-// (LRU Cached, CLOCK ShardedCache) exposes.
-type CachePool interface {
-	Hits() int64
-	Misses() int64
-}
-
-// AsCachePool returns the first buffer pool in s's wrapper chain, or nil.
-func AsCachePool(s Store) CachePool {
-	for ; s != nil; s = Unwrap(s) {
-		if c, ok := s.(CachePool); ok {
 			return c
 		}
 	}

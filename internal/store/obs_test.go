@@ -80,7 +80,7 @@ func TestFaultTripObservable(t *testing.T) {
 // TestCacheHitMissObservable verifies the buffer pool counts and (under
 // TraceIO) traces its lookups.
 func TestCacheHitMissObservable(t *testing.T) {
-	c := NewCached(NewMem(), 2)
+	c := NewSharded(NewMem(), 2, 1)
 	hook := &obs.Hook{}
 	c.SetObsHook(hook)
 	o := obs.New(obs.Config{TraceDepth: 16, TraceIO: true})
@@ -118,16 +118,16 @@ func TestCacheHitMissObservable(t *testing.T) {
 }
 
 // TestUnwrapChain checks the wrapper-chain helpers used by the public
-// layer to reach specific stores through Instrumented/Cached/Fault.
+// layer to reach specific stores through Instrumented/ShardedCache/Fault.
 func TestUnwrapChain(t *testing.T) {
 	hook := &obs.Hook{}
 	mem := NewMem()
 	fault := NewFault(mem)
-	cached := NewCached(fault, 4)
+	cached := NewSharded(fault, 4, 0)
 	inst := NewInstrumented(cached, hook)
 
-	if got := AsCached(inst); got != cached {
-		t.Fatalf("AsCached found %v, want the cached layer", got)
+	if got := AsSharded(inst); got != cached {
+		t.Fatalf("AsSharded found %v, want the cached layer", got)
 	}
 	if got := AsFileStore(inst); got != nil {
 		t.Fatalf("AsFileStore found %v, want nil (memory chain)", got)

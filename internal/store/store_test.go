@@ -107,10 +107,6 @@ func TestFileStoreContract(t *testing.T) {
 	storeContract(t, s, false)
 }
 
-func TestCachedContract(t *testing.T) {
-	storeContract(t, NewCached(NewMem(), 4), true)
-}
-
 func TestMemStoreInvalidAddrs(t *testing.T) {
 	s := NewMem()
 	if _, err := s.Read(-1); !errors.Is(err, ErrNotAllocated) {
@@ -226,48 +222,6 @@ func TestFileStoreOversizeBucket(t *testing.T) {
 	b.Put("key", make([]byte, 100))
 	if err := s.Write(a, b); err == nil {
 		t.Fatal("oversize bucket accepted")
-	}
-}
-
-func TestCachedHitAccounting(t *testing.T) {
-	mem := NewMem()
-	c := NewCached(mem, 2)
-	a0, _ := c.Alloc()
-	a1, _ := c.Alloc()
-	a2, _ := c.Alloc()
-	b := bucket.New(2)
-	b.Put("x", nil)
-	for _, a := range []int32{a0, a1, a2} {
-		if err := c.Write(a, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mem.ResetCounters()
-	// a2 and a1 are cached (2 frames); a0 was evicted.
-	if _, err := c.Read(a2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Read(a1); err != nil {
-		t.Fatal(err)
-	}
-	if mem.Counters().Reads != 0 {
-		t.Fatalf("cached reads reached the store: %v", mem.Counters())
-	}
-	if _, err := c.Read(a0); err != nil {
-		t.Fatal(err)
-	}
-	if mem.Counters().Reads != 1 {
-		t.Fatalf("miss did not reach the store: %v", mem.Counters())
-	}
-	if c.Hits() != 2 || c.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d", c.Hits(), c.Misses())
-	}
-	// Free evicts.
-	if err := c.Free(a1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Read(a1); !errors.Is(err, ErrNotAllocated) {
-		t.Fatalf("freed bucket still served from cache: %v", err)
 	}
 }
 

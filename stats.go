@@ -97,7 +97,7 @@ func (f *File) Stats() Stats {
 			IO: fromStore(s.IO),
 		}
 	}
-	if c := store.AsCachePool(f.eng.Store()); c != nil {
+	if c := store.AsSharded(f.eng.Store()); c != nil {
 		out.CacheHits, out.CacheMisses = c.Hits(), c.Misses()
 	}
 	// Reopened files may carry an unset pin; every layer then writes at

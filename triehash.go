@@ -126,10 +126,6 @@ type Options struct {
 	// access-cost model assumes no pool (Stats().IO then counts true
 	// transfers); a pool trades memory for fewer of them.
 	CacheFrames int
-	// CachePolicy selects the pool's replacement policy when CacheFrames
-	// is set: the sharded CLOCK pool (default) or the single-mutex LRU
-	// the paper experiments were first measured with.
-	CachePolicy CachePolicy
 	// Concurrent selects the store-backed /VID87/ engine: trie searches
 	// run lock-free over an atomic cell arena, point operations latch only
 	// their bucket, and the file's global lock is reserved for maintenance
@@ -167,21 +163,6 @@ type Options struct {
 	// pin upgrades to the default at its next checkpoint.
 	FormatVersion int
 }
-
-// CachePolicy selects the buffer pool implementation.
-type CachePolicy int
-
-const (
-	// CacheClock (the default) is the sharded CLOCK pool: frames are
-	// spread over power-of-two shards picked by bucket address, each an
-	// independent second-chance ring, so hits touch one shard and set one
-	// reference bit instead of reordering a global LRU list. It also
-	// serves clone-free read views, making cached lookups allocation-free.
-	CacheClock CachePolicy = iota
-	// CacheLRU is the global-mutex LRU pool, kept for the paper
-	// experiments and as the baseline the CLOCK pool is measured against.
-	CacheLRU
-)
 
 func (o Options) normalize() Options {
 	if o.BucketCapacity == 0 {
@@ -352,9 +333,6 @@ func Create(opts Options) (*File, error) {
 func wrapCache(opts Options, st store.Store) store.Store {
 	if opts.CacheFrames <= 0 {
 		return st
-	}
-	if opts.CachePolicy == CacheLRU {
-		return store.NewCached(st, opts.CacheFrames)
 	}
 	return store.NewSharded(st, opts.CacheFrames, 0)
 }
@@ -590,7 +568,8 @@ func BulkLoad(dir string, opts Options, fill float64, next func() (key string, v
 // capacity hint, else inferred from the fullest surviving bucket (a
 // lower bound — a never-filled file recovers with earlier splits, which
 // is safe). The recovered file continues under the THCL variant, and the
-// rebuilt metadata is written back before returning.
+// rebuilt metadata is written back before returning. opts.CacheFrames
+// places a buffer pool in front of it, as on OpenAtWith.
 //
 // Buckets whose slots no longer read back (torn writes, bit rot) are
 // skipped: the rebuilt trie serves every surviving record, but the file
@@ -612,7 +591,7 @@ func RecoverAt(dir string, opts Options) (*File, error) {
 	}
 	opts = opts.normalize()
 	opts.SlotBytes = fs.SlotSize()
-	st, hook := instrument(fs)
+	st, hook := instrument(wrapCache(opts, fs))
 	c, err := core.Recover(opts.coreConfig(), st)
 	if err != nil {
 		_ = fs.Close() // the recovery error takes precedence
@@ -680,8 +659,8 @@ func OpenAt(dir string) (*File, error) {
 // OpenAtWith reopens a file with runtime options applied. The file's
 // structural configuration (capacity, variant, split positions) comes from
 // its metadata; opts contributes only the per-open choices — CacheFrames
-// and CachePolicy for a buffer pool, Concurrent for the /VID87/ engine,
-// BulkWorkers — and the rest of opts is ignored.
+// for a buffer pool, Concurrent for the /VID87/ engine, BulkWorkers — and
+// the rest of opts is ignored.
 func OpenAtWith(dir string, opts Options) (*File, error) {
 	meta, err := os.ReadFile(filepath.Join(dir, "meta.th"))
 	if err != nil {
@@ -702,10 +681,9 @@ func OpenAtWith(dir string, opts Options) (*File, error) {
 		f.alpha = c.Config().Alphabet
 		f.opts = Options{
 			BucketCapacity: c.Config().Capacity, SlotBytes: fs.SlotSize(),
-			CacheFrames: opts.CacheFrames, CachePolicy: opts.CachePolicy,
-			Concurrent: opts.Concurrent, BulkWorkers: opts.BulkWorkers,
-			WAL: opts.WAL, CheckpointBytes: opts.CheckpointBytes,
-			FormatVersion: opts.FormatVersion,
+			CacheFrames: opts.CacheFrames, Concurrent: opts.Concurrent,
+			BulkWorkers: opts.BulkWorkers, WAL: opts.WAL,
+			CheckpointBytes: opts.CheckpointBytes, FormatVersion: opts.FormatVersion,
 		}
 		if opts.Concurrent {
 			if _, err := f.adoptConcurrent(c); err != nil {
@@ -771,8 +749,8 @@ func OpenAtWith(dir string, opts Options) (*File, error) {
 // from the buckets, reporting both failures if even that is impossible.
 func salvageAt(dir string, opts Options, cause error) (*File, error) {
 	f, err := RecoverAt(dir, Options{
-		Concurrent: opts.Concurrent,
-		WAL:        opts.WAL, CheckpointBytes: opts.CheckpointBytes,
+		CacheFrames: opts.CacheFrames, Concurrent: opts.Concurrent,
+		WAL: opts.WAL, CheckpointBytes: opts.CheckpointBytes,
 		FormatVersion: opts.FormatVersion,
 	})
 	if err != nil {

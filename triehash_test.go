@@ -193,11 +193,15 @@ func TestOpenAtErrors(t *testing.T) {
 // TestConcurrentReadersAndWriter: readers share the file lock while a
 // writer grows the file, on a single-level file and on a multilevel one
 // whose readers share pool frames through the store's view and seek
-// their Ranges across pages.
+// their Ranges across pages. Under the concurrent engine at b=2 the
+// writer splits constantly, so lock-free readers must never miss a key
+// that moves, and the trie outgrows the arena's first chunk of cells
+// while they run.
 func TestConcurrentReadersAndWriter(t *testing.T) {
 	for _, opts := range []Options{
 		{BucketCapacity: 10},
 		{BucketCapacity: 10, PageCapacity: 16, CacheFrames: 64},
+		{BucketCapacity: 2, Concurrent: true},
 	} {
 		f, err := Create(opts)
 		if err != nil {
@@ -254,6 +258,9 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 		}
 		if f.Len() != len(ks) {
 			t.Fatalf("PageCapacity=%d: Len = %d, want %d", opts.PageCapacity, f.Len(), len(ks))
+		}
+		if cells := f.Stats().TrieCells; opts.Concurrent && cells <= 1024 {
+			t.Fatalf("concurrent b=2: %d trie cells, want more than one 1024-cell arena chunk", cells)
 		}
 	}
 }
