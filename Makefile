@@ -27,11 +27,11 @@ lint-graph:
 	$(GO) run ./cmd/thvet -graph md
 
 # The race pass on the concurrency-bearing packages is part of the default
-# test gate: the sharded pool, the batch path, and the concurrent engine's
-# public stress tests live or die by it.
+# test gate: the sharded pool, the batch path, the WAL group committer and
+# the concurrent engine's public stress tests live or die by it.
 test:
 	$(GO) test ./...
-	$(GO) test -race ./internal/concurrent ./internal/store
+	$(GO) test -race ./internal/concurrent ./internal/store ./internal/wal
 	$(GO) test -race -run 'TestConcurrent' .
 
 race:

@@ -35,7 +35,6 @@ func main() {
 	redist := flag.String("redist", "none", "redistribution: none, succ, pred or both")
 	frames := flag.Int("frames", 0, "buffer pool frames in front of the simulated disk (0 = no pool, the paper's model)")
 	bulk := flag.Float64("bulkload", 0, "bulk-load the file at this fill in (0,1] instead of inserting incrementally (requires -order asc)")
-	bulkWorkers := flag.Int("bulk-workers", 1, "goroutines packing and writing buckets during -bulkload (1 = the sequential loader)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /obs.json, /debug/vars and /debug/pprof on this address during the sweep")
 	hold := flag.Duration("hold", 0, "keep serving metrics this long after the sweep (so thstat can attach)")
 	traceThreshold := flag.Duration("trace-threshold", -1,
@@ -121,11 +120,7 @@ func main() {
 					return k, nil, true
 				}
 				var err error
-				if *bulkWorkers > 1 {
-					f, err = core.BulkLoadParallel(cfg, store.NewInstrumented(pool, hook), *bulk, next, *bulkWorkers)
-				} else {
-					f, err = core.BulkLoad(cfg, store.NewInstrumented(pool, hook), *bulk, next)
-				}
+				f, err = core.BulkLoad(cfg, store.NewInstrumented(pool, hook), *bulk, next)
 				if err != nil {
 					fail(err.Error())
 				}

@@ -12,8 +12,7 @@
 //     two-latch acquisition.
 //   - Stripes is the subtree-keyed structural lock table; SortKeys gives
 //     the order several stripes are locked in.
-//   - FanOut is the bounded work distributor of the batch paths and the
-//     parallel bulk loader.
+//   - FanOut is the bounded work distributor of the batch paths.
 package concurrent
 
 import (

@@ -104,12 +104,12 @@ func fanBudget() int {
 }
 
 // FanOut runs fn(i) for every i in [0, n) and returns when all calls have
-// finished. It is the bounded work distributor shared by the batch paths
-// and the parallel bulk loader. The caller's goroutine always works; up to
-// workers-1 extra goroutines join it, further capped by the process-wide
-// budget of min(GOMAXPROCS, NumCPU) runnable fan-out workers — on a
-// single-CPU host every FanOut degenerates to an inline loop, which is
-// exactly as fast as the scheduler could make it anyway.
+// finished. It is the bounded work distributor of the batch paths. The
+// caller's goroutine always works; up to workers-1 extra goroutines join
+// it, further capped by the process-wide budget of min(GOMAXPROCS,
+// NumCPU) runnable fan-out workers — on a single-CPU host every FanOut
+// degenerates to an inline loop, which is exactly as fast as the
+// scheduler could make it anyway.
 func FanOut(n, workers int, fn func(int)) {
 	if workers > n {
 		workers = n

@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"triehash/internal/bucket"
-	"triehash/internal/concurrent"
 	"triehash/internal/store"
 	"triehash/internal/trie"
 )
@@ -123,124 +121,4 @@ func BulkLoad(cfg Config, st store.Store, fill float64, next func() (key string,
 	}
 	tr.SetTombstoning(cfg.TombstoneMerges)
 	return (&File{cfg: cfg, trie: tr, st: st, nkeys: total}).resolveStore(), nil
-}
-
-// BulkLoadParallel is BulkLoad with the bucket packing and slot writes
-// fanned out over at most workers goroutines. The input scan stays serial
-// (it validates key order and fixes every bucket boundary), and so does
-// slot allocation, so the loaded file — addresses, bounds, trie shape —
-// is exactly BulkLoad's; only the store writes race, and they all target
-// distinct slots. The records are buffered for the fan-out, so peak
-// memory is the input size rather than one bucket.
-func BulkLoadParallel(cfg Config, st store.Store, fill float64, next func() (key string, value []byte, ok bool), workers int) (*File, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	perBucket, err := bulkPerBucket(cfg, fill)
-	if err != nil {
-		return nil, err
-	}
-	if st.Buckets() != 0 {
-		return nil, fmt.Errorf("core: store already holds %d buckets", st.Buckets())
-	}
-
-	// Serial scan: validate, buffer, and cut the boundary wherever the
-	// streaming loader would have flushed — the same count target and (when
-	// the byte budget is armed) the same encoded-size probe, so the two
-	// loaders build byte-identical files.
-	var (
-		ks      []string
-		vs      [][]byte
-		bounds  [][]byte
-		starts  = []int{0} // ks index of each bucket's first record
-		prevKey string
-		cur     *bucket.Bucket // packing probe, maintained only under a byte budget
-	)
-	if cfg.PageBudget > 0 {
-		cur = bucket.New(cfg.Capacity)
-	}
-	for {
-		key, value, ok := next()
-		if !ok {
-			break
-		}
-		if err := cfg.Alphabet.Validate(key); err != nil {
-			return nil, err
-		}
-		if len(ks) > 0 && key <= prevKey {
-			return nil, fmt.Errorf("core: bulk load keys not strictly ascending: %q after %q", key, prevKey)
-		}
-		if n := len(ks) - starts[len(starts)-1]; n > 0 {
-			cut := n >= perBucket
-			var s []byte
-			if cut || cur != nil {
-				s = cfg.Alphabet.SplitString(prevKey, key)
-			}
-			if !cut && cur != nil {
-				probe := cur.Clone()
-				probe.Put(key, value)
-				probe.SetBound(s)
-				cut = probe.EncodedLen(cfg.Format) > cfg.PageBudget
-			}
-			if cut {
-				bounds = append(bounds, s)
-				starts = append(starts, len(ks))
-				if cur != nil {
-					cur = bucket.New(cfg.Capacity)
-				}
-			}
-		}
-		if cur != nil {
-			cur.Put(key, value)
-		}
-		ks = append(ks, key)
-		vs = append(vs, value)
-		prevKey = key
-	}
-	bounds = append(bounds, nil) // the final bucket's infinite bound
-	starts = append(starts, len(ks))
-
-	// Serial allocation in bucket order keeps the address sequence (and so
-	// the trie's leaves) identical to the streaming loader's.
-	addrs := make([]int32, len(bounds))
-	for i := range addrs {
-		if addrs[i], err = st.Alloc(); err != nil {
-			return nil, err
-		}
-	}
-
-	var (
-		errMu    sync.Mutex
-		writeErr error
-	)
-	concurrent.FanOut(len(bounds), workers, func(i int) {
-		b := bucket.New(cfg.Capacity)
-		lo, hi := starts[i], starts[i+1]
-		for j := lo; j < hi; j++ {
-			b.Put(ks[j], vs[j])
-		}
-		b.SetBound(bounds[i])
-		if err := st.Write(addrs[i], b); err != nil {
-			errMu.Lock()
-			if writeErr == nil {
-				writeErr = err
-			}
-			errMu.Unlock()
-		}
-	})
-	if writeErr != nil {
-		return nil, writeErr
-	}
-
-	ptrs := make([]trie.Ptr, len(addrs))
-	for i, a := range addrs {
-		ptrs[i] = trie.Leaf(a)
-	}
-	tr, err := trie.Reconstruct(cfg.Alphabet, bounds, ptrs)
-	if err != nil {
-		return nil, fmt.Errorf("core: bulk load: %w", err)
-	}
-	tr.SetTombstoning(cfg.TombstoneMerges)
-	return (&File{cfg: cfg, trie: tr, st: st, nkeys: len(ks)}).resolveStore(), nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"sort"
 	"strings"
@@ -218,72 +217,8 @@ func TestBulkPerBucket(t *testing.T) {
 			t.Errorf("fill %v accepted", fill)
 		}
 	}
-	// The whole loader refuses too, on both paths.
+	// The whole loader refuses too.
 	if _, err := BulkLoad(Config{Capacity: 50}, store.NewMem(), 0.005, sliceFeeder([]string{"a"})); err == nil {
 		t.Error("BulkLoad accepted a sub-record fill")
 	}
-	if _, err := BulkLoadParallel(Config{Capacity: 50}, store.NewMem(), 0.005, sliceFeeder([]string{"a"}), 4); err == nil {
-		t.Error("BulkLoadParallel accepted a sub-record fill")
-	}
-}
-
-// TestBulkLoadParallelIdentity: for any worker count, the parallel loader
-// produces a file indistinguishable from the streaming loader's — same
-// stats, same serialized metadata, same record dump — across sizes that
-// exercise the boundary cuts (empty, one key, an exact multiple of the
-// per-bucket target, a short tail).
-func TestBulkLoadParallelIdentity(t *testing.T) {
-	cfg := Config{Capacity: 10, Mode: trie.ModeTHCL}
-	dump := func(f *File) []string {
-		var out []string
-		f.Range("", "", func(k string, v []byte) bool {
-			out = append(out, k+"="+string(v))
-			return true
-		})
-		return out
-	}
-	for _, n := range []int{0, 1, 7, 70, 703, 2000} { // 70 = exact multiple at fill 1.0
-		for _, fill := range []float64{1.0, 0.7} {
-			keys := workload.Ascending(workload.Uniform(int64(90+n), n, 3, 10))
-			want, err := BulkLoad(cfg, store.NewMem(), fill, sliceFeeder(keys))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 3, 8} {
-				got, err := BulkLoadParallel(cfg, store.NewMem(), fill, sliceFeeder(keys), workers)
-				if err != nil {
-					t.Fatalf("n %d fill %v workers %d: %v", n, fill, workers, err)
-				}
-				ws, gs := want.Stats(), got.Stats()
-				// IO counters are cumulative per store and advance as this
-				// test itself reads the files back; identity is about
-				// structure, not the harness's own access history.
-				ws.IO, gs.IO = store.Counters{}, store.Counters{}
-				if ws != gs {
-					t.Fatalf("n %d fill %v workers %d: stats %+v vs %+v", n, fill, workers, gs, ws)
-				}
-				if !bytes.Equal(want.SaveMeta(), got.SaveMeta()) {
-					t.Fatalf("n %d fill %v workers %d: metadata diverges", n, fill, workers)
-				}
-				if w, g := dump(want), dump(got); !slicesEqual(w, g) {
-					t.Fatalf("n %d fill %v workers %d: dumps differ (%d vs %d records)", n, fill, workers, len(w), len(g))
-				}
-				if err := got.CheckInvariants(); err != nil {
-					t.Fatalf("n %d fill %v workers %d: %v", n, fill, workers, err)
-				}
-			}
-		}
-	}
-}
-
-func slicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

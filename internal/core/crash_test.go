@@ -5,16 +5,18 @@ import (
 	"fmt"
 	"testing"
 
+	"triehash/internal/format"
 	"triehash/internal/store"
 	"triehash/internal/trie"
 	"triehash/internal/workload"
 )
 
-// The exhaustive crash-point harness: a canonical workload runs over a
-// journaling CrashStore; then, for every journal position k, the store
-// image a power cut at k leaves behind is materialized and reopened —
-// clean, and with the in-flight write torn, bit-flipped or zeroed — and
-// the result is verified against the durability contract:
+// The exhaustive crash-point harness: a canonical workload runs over the
+// shipped FileStore on a journaling CrashDisk; then, for every journal
+// position k, the disk image a power cut at k leaves behind is
+// materialized and reopened with FileStore — clean, and with the
+// in-flight write torn, bit-flipped or zeroed — and the result is
+// verified against the durability contract:
 //
 //  1. every key covered by the last successful Sync is present with a
 //     value some applied operation wrote (verified differentially
@@ -33,10 +35,15 @@ type crashOp struct {
 	value string
 }
 
-// crashRun is everything the workload run recorded: the journaled store,
+// crashSlotSize is the bucket file's slot size in the crash runs: roomy
+// enough for any capacity-4 bucket in either page format, so no write
+// fails and no byte budget decides a split.
+const crashSlotSize = 256
+
+// crashRun is everything the workload run recorded: the journaled disk,
 // the per-op journal boundaries, and the snapshots at each Sync.
 type crashRun struct {
-	cs      *store.CrashStore
+	disk    *store.CrashDisk
 	ops     []crashOp
 	opStart []int // journal length when op i began
 	marks   []int // journal positions of the Sync barriers
@@ -74,8 +81,8 @@ type crashDriver interface {
 // the shrunk old image and trie flip still pending.
 func buildCrashRun(t *testing.T, cfg Config, seed int64, nops, syncEvery, batchSize int, concurrent bool) *crashRun {
 	t.Helper()
-	cs := store.NewCrash()
-	inner, err := New(cfg, cs)
+	disk, fs := newCrashDisk(t, cfg)
+	inner, err := New(cfg, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +102,7 @@ func buildCrashRun(t *testing.T, cfg Config, seed int64, nops, syncEvery, batchS
 	}
 	keys := workload.Uniform(seed, nops, 3, 8)
 	r := &crashRun{
-		cs: cs,
+		disk: disk,
 		values: make(map[string][]struct {
 			op    int
 			value string
@@ -104,10 +111,8 @@ func buildCrashRun(t *testing.T, cfg Config, seed int64, nops, syncEvery, batchS
 	}
 	model := map[string]string{}
 	sync := func() {
-		if err := cs.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		r.marks = append(r.marks, cs.Journal())
+		syncBuckets(t, disk, fs)
+		r.marks = append(r.marks, disk.Journal())
 		r.metas = append(r.metas, f.SaveMeta())
 		snap := make(map[string]string, len(model))
 		for k, v := range model {
@@ -124,7 +129,7 @@ func buildCrashRun(t *testing.T, cfg Config, seed int64, nops, syncEvery, batchS
 		if len(buf) == 0 {
 			return
 		}
-		start := cs.Journal()
+		start := disk.Journal()
 		bk := make([]string, len(buf))
 		bv := make([][]byte, len(buf))
 		for j, op := range buf {
@@ -157,8 +162,8 @@ func buildCrashRun(t *testing.T, cfg Config, seed int64, nops, syncEvery, batchS
 		case op.del:
 			flush() // a buffered put on this key must land first
 			r.ops = append(r.ops, op)
-			r.opStart = append(r.opStart, cs.Journal())
-			r.deletes[op.key] = append(r.deletes[op.key], cs.Journal())
+			r.opStart = append(r.opStart, disk.Journal())
+			r.deletes[op.key] = append(r.deletes[op.key], disk.Journal())
 			if err := f.Delete(op.key); err != nil && !errors.Is(err, ErrNotFound) {
 				t.Fatalf("op %d: delete %q: %v", i, op.key, err)
 			}
@@ -170,7 +175,7 @@ func buildCrashRun(t *testing.T, cfg Config, seed int64, nops, syncEvery, batchS
 			}
 		default:
 			r.ops = append(r.ops, op)
-			r.opStart = append(r.opStart, cs.Journal())
+			r.opStart = append(r.opStart, disk.Journal())
 			if _, err := f.Put(op.key, []byte(op.value)); err != nil {
 				t.Fatalf("op %d: put %q: %v", i, op.key, err)
 			}
@@ -229,11 +234,41 @@ func (r *crashRun) allowedValues(key string, k int) map[string]bool {
 	return out
 }
 
+// newCrashDisk returns a crash disk and the shipped FileStore formatted
+// on its bucket file, writing pages in cfg's format.
+func newCrashDisk(t *testing.T, cfg Config) (*store.CrashDisk, *store.FileStore) {
+	t.Helper()
+	disk := &store.CrashDisk{}
+	fs, err := store.CreateMedium(disk.Buckets(), crashSlotSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.SetFormat(cfg.Format)
+	return disk, fs
+}
+
+// syncBuckets syncs the bucket file and checks that the sync reached the
+// disk: its last barrier must cover the whole journal.
+func syncBuckets(t *testing.T, disk *store.CrashDisk, fs *store.FileStore) {
+	t.Helper()
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := disk.Buckets().Synced(), disk.Journal(); got != want {
+		t.Fatalf("FileStore.Sync left the bucket file's last barrier at journal %d, want %d", got, want)
+	}
+}
+
 // reopenChain is the documented recovery procedure a crashed deployment
-// follows: reopen with the synced metadata; if the structure does not
-// verify, rebuild the trie from the bucket bounds (Recover); if damaged
-// slots remain, quarantine them (Scrub).
-func reopenChain(cfg Config, img store.Store, meta []byte) (*File, *ScrubReport, error) {
+// follows: open the bucket file and reopen with the synced metadata; if
+// the structure does not verify, rebuild the trie from the bucket bounds
+// (Recover); if damaged slots remain, quarantine them (Scrub).
+func reopenChain(cfg Config, disk *store.CrashDisk, meta []byte) (*File, *ScrubReport, error) {
+	img, err := store.OpenMedium(disk.Buckets())
+	if err != nil {
+		return nil, nil, err
+	}
+	img.SetFormat(cfg.Format)
 	if meta != nil {
 		if f, err := Open(meta, img); err == nil {
 			if f.CheckInvariants() == nil {
@@ -251,13 +286,17 @@ func reopenChain(cfg Config, img store.Store, meta []byte) (*File, *ScrubReport,
 	return f.Scrub("")
 }
 
-// slotKeys returns the keys bucket addr holds in image img, or nil when
-// the slot does not read back.
-func slotKeys(img store.Store, addr int32) []string {
+// slotKeys returns the keys bucket addr holds in disk image img, or nil
+// when the slot does not read back.
+func slotKeys(img *store.CrashDisk, addr int32) []string {
 	if addr < 0 {
 		return nil
 	}
-	b, err := img.Read(addr)
+	fs, err := store.OpenMedium(img.Buckets())
+	if err != nil {
+		return nil
+	}
+	b, err := fs.Read(addr)
 	if err != nil {
 		return nil
 	}
@@ -272,12 +311,12 @@ func slotKeys(img store.Store, addr int32) []string {
 // contract. kind < 0 means a clean cut (no damaged entry).
 func (r *crashRun) verifyCut(t *testing.T, cfg Config, k int, kind store.CorruptKind, seed int64) {
 	t.Helper()
-	var img *store.CrashStore
+	var img *store.CrashDisk
 	damaged := int32(-1)
 	if kind < 0 {
-		img = r.cs.PowerCut(k)
+		img = r.disk.PowerCut(k)
 	} else {
-		img, damaged = r.cs.PowerCutDamaged(k, kind, seed)
+		img, damaged = r.disk.PowerCutDamaged(k, kind, seed)
 	}
 	snap, meta, mark := r.syncBefore(k)
 
@@ -285,10 +324,10 @@ func (r *crashRun) verifyCut(t *testing.T, cfg Config, k int, kind store.Corrupt
 	// slot's content just before and just after the in-flight write.
 	excused := map[string]bool{}
 	if damaged >= 0 {
-		for _, key := range slotKeys(r.cs.PowerCut(k), damaged) {
+		for _, key := range slotKeys(r.disk.PowerCut(k), damaged) {
 			excused[key] = true
 		}
-		for _, key := range slotKeys(r.cs.PowerCut(k+1), damaged) {
+		for _, key := range slotKeys(r.disk.PowerCut(k+1), damaged) {
 			excused[key] = true
 		}
 	}
@@ -359,7 +398,10 @@ func TestCrashPoints(t *testing.T) {
 	}{
 		{"thcl", Config{Capacity: 4, Mode: trie.ModeTHCL}, false, 0},
 		{"thcl-redist", Config{Capacity: 4, Mode: trie.ModeTHCL, Redistribution: RedistBoth, BoundPos: 4}, false, 0},
-		// The concurrent engine over the same journaling store: identical
+		// The pinned v1 page format: fixed-width pages, cut and reopened
+		// like the default format's.
+		{"thcl-v1", Config{Capacity: 4, Mode: trie.ModeTHCL, Format: format.V1}, false, 0},
+		// The concurrent engine over the same journaling disk: identical
 		// store mutation order means the same cuts, the same damage, the
 		// same recovery chain.
 		{"thcl-concurrent", Config{Capacity: 4, Mode: trie.ModeTHCL}, true, 0},
@@ -381,7 +423,7 @@ func TestCrashPoints(t *testing.T) {
 			if testing.Short() {
 				stride = 7
 			}
-			n := r.cs.Journal()
+			n := r.disk.Journal()
 			t.Logf("journal: %d mutations, %d syncs", n, len(r.marks))
 			for k := 0; k <= n; k += stride {
 				for _, kind := range kinds {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"triehash/internal/format"
 	"triehash/internal/store"
 	"triehash/internal/trie"
 	"triehash/internal/wal"
@@ -14,15 +15,16 @@ import (
 // The WAL crash harness extends the power-cut enumeration to the logged
 // durability contract. The workload drives the engine exactly like the
 // public layer does with Options.WAL on — apply to the engine, append to
-// the log, commit (fsync) — over the CrashStore, whose journal now
-// carries log appends and truncations in the same mutation timeline as
-// the slot writes. Every journal position is therefore a cut inside a
-// bucket write, between an engine apply and its log append, inside the
-// append itself (torn, bit-flipped or zeroed mid-frame), or inside a
-// checkpoint's truncate-then-mark sequence — and at every one of them
-// the recovery that the public layer performs (canonicalize the bucket
-// state, then replay the log's post-checkpoint suffix) must restore
-// every COMMITTED operation, not merely every checkpointed one.
+// the log, commit (fsync) — over the shipped FileStore and wal.FileDevice
+// on one CrashDisk, whose journal carries log appends and truncations in
+// the same mutation timeline as the slot writes. Every journal position
+// is therefore a cut inside a bucket write, between an engine apply and
+// its log append, inside the append itself (torn, bit-flipped or zeroed
+// mid-frame), or inside a checkpoint's truncate-then-mark sequence — and
+// at every one of them the recovery that the public layer performs
+// (canonicalize the bucket state, then replay the log's post-checkpoint
+// suffix) must restore every COMMITTED operation, not merely every
+// checkpointed one.
 
 // walCrashRun records the logged workload: the shared crashRun bookkeeping
 // plus the commit horizon (which ops' fsyncs had completed by each journal
@@ -46,8 +48,8 @@ type walCrashRun struct {
 // buildWALCrashRun executes the canonical logged workload against cfg.
 func buildWALCrashRun(t *testing.T, cfg Config, seed int64, nops, ckptEvery int, concurrent bool) *walCrashRun {
 	t.Helper()
-	cs := store.NewCrash()
-	inner, err := New(cfg, cs)
+	disk, fs := newCrashDisk(t, cfg)
+	inner, err := New(cfg, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +61,11 @@ func buildWALCrashRun(t *testing.T, cfg Config, seed int64, nops, ckptEvery int,
 		}
 		f = ce
 	}
-	l, recs, tail, err := wal.Open(cs.LogDevice(), inner.Config().Format, nil)
+	dev, err := wal.OpenMediumDevice(disk.Log())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, recs, tail, err := wal.Open(dev, inner.Config().Format, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +76,7 @@ func buildWALCrashRun(t *testing.T, cfg Config, seed int64, nops, ckptEvery int,
 
 	keys := workload.Uniform(seed, nops, 3, 8)
 	r := &walCrashRun{crashRun: crashRun{
-		cs: cs,
+		disk: disk,
 		values: make(map[string][]struct {
 			op    int
 			value string
@@ -93,18 +99,23 @@ func buildWALCrashRun(t *testing.T, cfg Config, seed int64, nops, ckptEvery int,
 		if err != nil {
 			t.Fatalf("append %v %q: %v", op, key, err)
 		}
+		appended := disk.Journal()
 		if err := l.Commit(lsn); err != nil {
 			t.Fatalf("commit %v %q: %v", op, key, err)
 		}
-		return cs.Journal()
+		// A returned Commit promises durability: a log sync must cover
+		// the append.
+		if got := disk.Log().Synced(); got < appended {
+			t.Fatalf("commit %v %q returned with the log's last barrier at journal %d, before its append at %d",
+				op, key, got, appended)
+		}
+		return disk.Journal()
 	}
 	checkpoint := func() {
 		// The public layer's checkpointLocked order: buckets durable,
 		// metadata installed, then — and only then — the log folds.
-		if err := cs.Sync(); err != nil {
-			t.Fatal(err)
-		}
-		r.ckptMarks = append(r.ckptMarks, cs.Journal())
+		syncBuckets(t, disk, fs)
+		r.ckptMarks = append(r.ckptMarks, disk.Journal())
 		r.ckptMetas = append(r.ckptMetas, f.SaveMeta())
 		if err := l.Checkpoint(); err != nil {
 			t.Fatal(err)
@@ -119,7 +130,7 @@ func buildWALCrashRun(t *testing.T, cfg Config, seed int64, nops, ckptEvery int,
 			op.key = keys[i-10]
 			op.value = fmt.Sprintf("%s#%d", op.key, i)
 		}
-		start := cs.Journal()
+		start := disk.Journal()
 		if op.del {
 			r.deletes[op.key] = append(r.deletes[op.key], start)
 			err := f.Delete(op.key)
@@ -180,13 +191,21 @@ func (r *walCrashRun) ckptBefore(k int) []byte {
 }
 
 // replayImageLog performs the public layer's replay step on a reopened
-// image: scan the (possibly torn) log the cut left behind, take the
-// suffix after the last checkpoint marker, and apply it. Returns the keys
-// whose last pending record is a put — records recovery must serve no
-// matter what the damage did to their bucket.
-func replayImageLog(t *testing.T, f *File, img *store.CrashStore, k int, kind store.CorruptKind) map[string]bool {
+// image: read the (possibly torn) log the cut left behind through
+// wal.FileDevice, take the suffix after the last checkpoint marker, and
+// apply it. Returns the keys whose last pending record is a put — records
+// recovery must serve no matter what the damage did to their bucket.
+func replayImageLog(t *testing.T, f *File, img *store.CrashDisk, k int, kind store.CorruptKind) map[string]bool {
 	t.Helper()
-	recs, _, _, err := wal.Scan(img.LogBytes())
+	dev, err := wal.OpenMediumDevice(img.Log())
+	if err != nil {
+		t.Fatalf("cut %d kind %v: opening log: %v", k, kind, err)
+	}
+	data, err := dev.Contents()
+	if err != nil {
+		t.Fatalf("cut %d kind %v: reading log: %v", k, kind, err)
+	}
+	recs, _, _, err := wal.Scan(data)
 	if err != nil {
 		t.Fatalf("cut %d kind %v: scanning log: %v", k, kind, err)
 	}
@@ -220,22 +239,22 @@ func replayImageLog(t *testing.T, f *File, img *store.CrashStore, k int, kind st
 // effect is restored.
 func (r *walCrashRun) verifyWALCut(t *testing.T, cfg Config, k int, kind store.CorruptKind, seed int64) {
 	t.Helper()
-	var img *store.CrashStore
+	var img *store.CrashDisk
 	damaged := int32(-1)
 	if kind < 0 {
-		img = r.cs.PowerCut(k)
+		img = r.disk.PowerCut(k)
 	} else {
-		img, damaged = r.cs.PowerCutDamaged(k, kind, seed)
+		img, damaged = r.disk.PowerCutDamaged(k, kind, seed)
 	}
 	snap, commitMark := r.committedBefore(k)
 	meta := r.ckptBefore(k)
 
 	excused := map[string]bool{}
 	if damaged >= 0 {
-		for _, key := range slotKeys(r.cs.PowerCut(k), damaged) {
+		for _, key := range slotKeys(r.disk.PowerCut(k), damaged) {
 			excused[key] = true
 		}
-		for _, key := range slotKeys(r.cs.PowerCut(k+1), damaged) {
+		for _, key := range slotKeys(r.disk.PowerCut(k+1), damaged) {
 			excused[key] = true
 		}
 	}
@@ -303,15 +322,18 @@ func (r *walCrashRun) verifyWALCut(t *testing.T, cfg Config, k int, kind store.C
 func TestWALCrashPoints(t *testing.T) {
 	configs := []struct {
 		name       string
+		cfg        Config
 		concurrent bool
 	}{
-		{"thcl-wal", false},
-		{"thcl-wal-concurrent", true},
+		{"thcl-wal", Config{Capacity: 4, Mode: trie.ModeTHCL}, false},
+		// v1 pages and v1 log framing (no log header).
+		{"thcl-wal-v1", Config{Capacity: 4, Mode: trie.ModeTHCL, Format: format.V1}, false},
+		{"thcl-wal-concurrent", Config{Capacity: 4, Mode: trie.ModeTHCL}, true},
 	}
 	kinds := []store.CorruptKind{-1, store.CorruptTear, store.CorruptFlip, store.CorruptZero}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg, err := (Config{Capacity: 4, Mode: trie.ModeTHCL}).withDefaults()
+			cfg, err := tc.cfg.withDefaults()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -320,7 +342,7 @@ func TestWALCrashPoints(t *testing.T) {
 			if testing.Short() {
 				stride = 7
 			}
-			n := r.cs.Journal()
+			n := r.disk.Journal()
 			t.Logf("journal: %d mutations, %d commits, %d checkpoints", n, len(r.commitPos), len(r.ckptMarks))
 			for k := 0; k <= n; k += stride {
 				for _, kind := range kinds {

@@ -39,7 +39,7 @@ const (
 	// EvRecovery is a trie reconstruction from bucket bounds (TOR83).
 	EvRecovery
 	// EvCorrupt is slot corruption: injected (FaultStore corrupt modes, a
-	// CrashStore power cut tearing an in-flight write) or detected (a
+	// CrashDisk power cut tearing an in-flight write) or detected (a
 	// checksum failure surfacing as a CorruptError during salvage).
 	EvCorrupt
 	// EvQuarantine is an unreadable bucket moved to the quarantine file

@@ -151,8 +151,8 @@ func InvalidateAddr(s Store, addr int32) {
 // damageFrame damages a framed slot in place per kind. buf is the slot's
 // bytes in the common frame layout (flags, payload length, crc32, payload,
 // optional padding); mix supplies the deterministic entropy choosing the
-// damaged offset and bit. Shared by FileStore.CorruptSlot and CrashStore's
-// power-cut boundary entry, so both injectors tear identically.
+// damaged offset and bit. Shared by FileStore.CorruptSlot and CrashDisk's
+// power-cut boundary write, so both injectors tear identically.
 func damageFrame(buf []byte, kind CorruptKind, mix uint64) error {
 	n := int(binary.LittleEndian.Uint32(buf[1:]))
 	if n < 0 || n > len(buf)-slotHeaderSize {

@@ -1,428 +1,249 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"sync"
 
-	"triehash/internal/bucket"
-	"triehash/internal/format"
 	"triehash/internal/obs"
 )
 
-// CrashStore simulates a disk whose write cache is volatile: every
-// mutation lands in the current image immediately (the running process
-// sees its own writes), but is also journaled, and Sync records a
-// durability barrier. PowerCut then materializes the image a power cut
-// would leave behind — the journal prefix up to an arbitrary mutation,
-// with the first in-flight write optionally torn or bit-flipped — which
-// the crash harness reopens and verifies against the durability contract.
-//
-// Slots hold the same checksummed frame layout as FileStore (flags,
-// payload length, crc32, payload), so a damaged boundary entry is
-// detected by Read exactly as FileStore detects a torn slot on disk.
-type CrashStore struct {
+// CrashDisk simulates a disk whose write cache is volatile, holding the
+// two files a durable file keeps: the bucket file and the write-ahead log.
+// Every write and truncate lands in the current image immediately (the
+// running process sees its own writes), but is also journaled, in one
+// order across both files, and each Sync records a durability barrier.
+// PowerCut then materializes the disk a power cut would leave behind — the
+// journal prefix up to an arbitrary mutation, with the first in-flight
+// write optionally torn, bit-flipped or zeroed — and the crash harness
+// reopens its files with the shipped FileStore and wal.FileDevice and
+// verifies the result against the durability contract. The zero value is
+// a disk with two empty files.
+type CrashDisk struct {
 	mu    sync.Mutex
-	slots [][]byte // framed post-images; nil = never written
-	free  []int32
-	live  int
+	files [2][]byte // current contents, indexed by diskBuckets/diskLog
+	// journal records every write and truncate in order; synced holds
+	// each file's journal length at its last Sync barrier.
+	journal []diskMut
+	synced  [2]int
 
-	// journal records every slot post-image and log mutation in order;
-	// syncs are the journal lengths at each Sync barrier.
-	journal []crashMut
-	syncs   []int
-
-	// log is the current WAL image of the LogDevice facet.
-	log []byte
-
-	ctr  counterSet
 	hook *obs.Hook
-	// fmtv is the page encoding version writes use (0 = format.Default);
-	// mirrors FileStore so crash tests cover both page formats.
-	fmtv format.Version
 }
 
-// SetFormat selects the page encoding version Write and Alloc use.
-func (c *CrashStore) SetFormat(v format.Version) {
-	if v.Valid() {
-		c.fmtv = v
-	}
-}
-
-// Format returns the page encoding version writes use.
-func (c *CrashStore) Format() format.Version {
-	if c.fmtv == 0 {
-		return format.Default
-	}
-	return c.fmtv
-}
-
-// mutKind distinguishes the two media a CrashStore journals: bucket
-// slots and the append-only WAL byte log. One journal orders them both,
-// so every WAL append and truncate is a power-cut position exactly like
-// a slot write.
-type mutKind uint8
-
+// The two files of a CrashDisk.
 const (
-	mutSlot mutKind = iota
-	mutLogAppend
-	mutLogTruncate
+	diskBuckets = iota
+	diskLog
 )
 
-// crashMut is one journaled mutation: for mutSlot, the full frame slot
-// addr held after the write (Free and ClearSlot journal a freed frame);
-// for mutLogAppend, the appended chunk in frame; for mutLogTruncate, the
-// post-truncation log length in size.
-type crashMut struct {
-	kind  mutKind
-	addr  int32
-	frame []byte
-	size  int64
+// diskMut is one journaled mutation of a file: data written at off, or,
+// for a truncate, the file cut (or zero-extended) to length off.
+type diskMut struct {
+	file  int
+	trunc bool
+	off   int64
+	data  []byte
 }
 
-// NewCrash returns an empty crash-simulation store.
-func NewCrash() *CrashStore { return &CrashStore{} }
-
-// SetObsHook attaches the observability hook power-cut corruption events
-// go to.
-func (c *CrashStore) SetObsHook(h *obs.Hook) { c.hook = h }
-
-// encodeFrame builds a slot frame in the common layout.
-func encodeFrame(flags byte, payload []byte) []byte {
-	buf := make([]byte, slotHeaderSize+len(payload))
-	buf[0] = flags
-	binary.LittleEndian.PutUint32(buf[1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[5:], crc32.ChecksumIEEE(payload))
-	copy(buf[slotHeaderSize:], payload)
+// applyTo returns buf with the mutation applied; data is copied, never
+// aliased.
+func (m diskMut) applyTo(buf []byte) []byte {
+	end := m.off + int64(len(m.data))
+	if end > int64(len(buf)) {
+		buf = append(buf, make([]byte, end-int64(len(buf)))...)
+	}
+	if m.trunc {
+		return buf[:m.off]
+	}
+	copy(buf[m.off:], m.data)
 	return buf
 }
 
-// decodeFrame verifies and splits a slot frame, reporting damage as a
-// CorruptError exactly like FileStore.readSlot.
-func decodeFrame(addr int32, buf []byte) (flags byte, payload []byte, err error) {
-	if len(buf) < slotHeaderSize {
-		return 0, nil, &CorruptError{Addr: addr, Reason: fmt.Sprintf("frame truncated to %d bytes", len(buf))}
-	}
-	flags = buf[0]
-	if flags != slotLive && flags != slotFree {
-		return 0, nil, &CorruptError{Addr: addr, Reason: fmt.Sprintf("invalid slot flags 0x%02x", flags)}
-	}
-	n := int(binary.LittleEndian.Uint32(buf[1:]))
-	if n > len(buf)-slotHeaderSize {
-		return 0, nil, &CorruptError{Addr: addr, Reason: fmt.Sprintf("corrupt length %d", n)}
-	}
-	sum := binary.LittleEndian.Uint32(buf[5:])
-	payload = buf[slotHeaderSize : slotHeaderSize+n]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, nil, &CorruptError{Addr: addr, Reason: "checksum mismatch"}
-	}
-	return flags, payload, nil
-}
+// SetObsHook attaches the observability hook power-cut corruption events
+// go to.
+func (d *CrashDisk) SetObsHook(h *obs.Hook) { d.hook = h }
 
-// frame returns slot addr's current frame under the caller's lock.
-func (c *CrashStore) frame(addr int32, op string) ([]byte, error) {
-	if addr < 0 || int(addr) >= len(c.slots) || c.slots[addr] == nil {
-		return nil, fmt.Errorf("%w: %s of %d", ErrNotAllocated, op, addr)
-	}
-	return c.slots[addr], nil
-}
+// Buckets returns the disk's bucket file.
+func (d *CrashDisk) Buckets() *CrashFile { return &CrashFile{d: d, id: diskBuckets} }
 
-// apply installs a frame as slot addr's current image and journals it.
-func (c *CrashStore) apply(addr int32, frame []byte) {
-	for int(addr) >= len(c.slots) {
-		c.slots = append(c.slots, nil)
-	}
-	c.slots[addr] = frame
-	c.journal = append(c.journal, crashMut{addr: addr, frame: frame})
-}
-
-// Read implements Store, surfacing frame damage as CorruptError.
-func (c *CrashStore) Read(addr int32) (*bucket.Bucket, error) {
-	c.mu.Lock()
-	buf, err := c.frame(addr, "read")
-	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	flags, payload, err := decodeFrame(addr, buf)
-	if err != nil {
-		return nil, err
-	}
-	if flags != slotLive {
-		return nil, fmt.Errorf("%w: read of freed slot %d", ErrNotAllocated, addr)
-	}
-	c.ctr.reads.Add(1)
-	b, _, err := bucket.DecodeBinary(payload)
-	if err != nil {
-		var uve *format.UnknownVersionError
-		if errors.As(err, &uve) {
-			return nil, err
-		}
-		return nil, &CorruptError{Addr: addr, Reason: fmt.Sprintf("payload decode: %v", err)}
-	}
-	format.RecordPageRead(b.DecodedFormat())
-	return b, nil
-}
-
-// Write implements Store, journaling the slot's post-image.
-func (c *CrashStore) Write(addr int32, b *bucket.Bucket) error {
-	v := c.Format()
-	payload := b.AppendFormat(nil, v)
-	format.RecordPageWrite(v, len(payload), b.Bytes())
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	buf, err := c.frame(addr, "write")
-	if err != nil {
-		return err
-	}
-	flags, _, err := decodeFrame(addr, buf)
-	if err != nil {
-		return err
-	}
-	if flags != slotLive {
-		return fmt.Errorf("%w: write of freed slot %d", ErrNotAllocated, addr)
-	}
-	c.ctr.writes.Add(1)
-	c.apply(addr, encodeFrame(slotLive, payload))
-	return nil
-}
-
-// Alloc implements Store, journaling the new slot's empty-bucket frame.
-func (c *CrashStore) Alloc() (int32, error) {
-	c.ctr.allocs.Add(1)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var addr int32
-	if n := len(c.free); n > 0 {
-		addr = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		addr = int32(len(c.slots))
-	}
-	c.apply(addr, encodeFrame(slotLive, bucket.New(0).AppendFormat(nil, c.Format())))
-	c.live++
-	return addr, nil
-}
-
-// Free implements Store, journaling a freed frame.
-func (c *CrashStore) Free(addr int32) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	buf, err := c.frame(addr, "free")
-	if err != nil {
-		return err
-	}
-	flags, _, err := decodeFrame(addr, buf)
-	if err != nil {
-		return err
-	}
-	if flags != slotLive {
-		return fmt.Errorf("%w: double free of slot %d", ErrNotAllocated, addr)
-	}
-	c.ctr.frees.Add(1)
-	c.apply(addr, encodeFrame(slotFree, nil))
-	c.live--
-	c.free = append(c.free, addr)
-	return nil
-}
-
-// Sync records a durability barrier: every journaled mutation before this
-// point survives any later power cut.
-func (c *CrashStore) Sync() error {
-	c.mu.Lock()
-	c.syncs = append(c.syncs, len(c.journal))
-	c.mu.Unlock()
-	return nil
-}
+// Log returns the disk's write-ahead log file.
+func (d *CrashDisk) Log() *CrashFile { return &CrashFile{d: d, id: diskLog} }
 
 // Journal returns the number of mutations recorded so far.
-func (c *CrashStore) Journal() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.journal)
+func (d *CrashDisk) Journal() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.journal)
 }
 
-// Syncs returns the journal positions of the Sync barriers, in order.
-func (c *CrashStore) Syncs() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]int(nil), c.syncs...)
+// CrashFile is one file of a CrashDisk. It is a Medium for FileStore and
+// for wal.FileDevice; its writes, truncates and syncs go to the disk's
+// journal.
+type CrashFile struct {
+	d  *CrashDisk
+	id int
 }
 
-// PowerCut returns the store image a power cut leaves after exactly
+// ReadAt implements io.ReaderAt over the file's current image.
+func (f *CrashFile) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, errors.New("store: crash file read at negative offset")
+	}
+	f.d.mu.Lock()
+	defer f.d.mu.Unlock()
+	buf := f.d.files[f.id]
+	if off >= int64(len(buf)) {
+		return 0, io.EOF
+	}
+	n := copy(p, buf[off:])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// WriteAt implements io.WriterAt, journaling the write.
+func (f *CrashFile) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, errors.New("store: crash file write at negative offset")
+	}
+	f.d.apply(diskMut{file: f.id, off: off, data: append([]byte(nil), p...)})
+	return len(p), nil
+}
+
+// Truncate changes the file's length, journaling the change.
+func (f *CrashFile) Truncate(size int64) error {
+	if size < 0 {
+		return fmt.Errorf("store: crash file truncate to %d", size)
+	}
+	f.d.apply(diskMut{file: f.id, trunc: true, off: size})
+	return nil
+}
+
+// Seek reports the file's length for Seek(0, io.SeekEnd), the only query
+// the positioned-I/O users of a Medium make.
+func (f *CrashFile) Seek(offset int64, whence int) (int64, error) {
+	if offset != 0 || whence != io.SeekEnd {
+		return 0, errors.New("store: crash file supports only Seek(0, io.SeekEnd)")
+	}
+	f.d.mu.Lock()
+	defer f.d.mu.Unlock()
+	return int64(len(f.d.files[f.id])), nil
+}
+
+// Sync records a durability barrier for the file: every journaled write
+// to it before this point survives any later power cut.
+func (f *CrashFile) Sync() error {
+	f.d.mu.Lock()
+	f.d.synced[f.id] = len(f.d.journal)
+	f.d.mu.Unlock()
+	return nil
+}
+
+// Synced returns the journal length at the file's last Sync barrier (0
+// before the first).
+func (f *CrashFile) Synced() int {
+	f.d.mu.Lock()
+	defer f.d.mu.Unlock()
+	return f.d.synced[f.id]
+}
+
+// Close implements io.Closer; the disk owns the file's lifetime.
+func (f *CrashFile) Close() error { return nil }
+
+// apply installs m on the current image and journals it.
+func (d *CrashDisk) apply(m diskMut) {
+	d.mu.Lock()
+	d.files[m.file] = m.applyTo(d.files[m.file])
+	d.journal = append(d.journal, m)
+	d.mu.Unlock()
+}
+
+// PowerCut returns the disk image a power cut leaves after exactly
 // applied journaled mutations reached the medium: the journal prefix
-// replayed onto an empty image, bookkeeping rebuilt from the surviving
-// slot flags exactly as OpenFile rebuilds it from disk.
-func (c *CrashStore) PowerCut(applied int) *CrashStore {
-	img, _ := c.cut(applied, false, 0, 0)
+// replayed onto two empty files.
+func (d *CrashDisk) PowerCut(applied int) *CrashDisk {
+	img, _ := d.cut(applied, false, 0, 0)
 	return img
 }
 
 // PowerCutDamaged is PowerCut with the first in-flight mutation (journal
 // index applied) additionally reaching the medium damaged per kind — the
-// torn multi-sector write a real power cut produces. It returns the
-// damaged slot's address, or -1 when no mutation was in flight. The
+// torn multi-sector write a real power cut produces. A slot write is
+// damaged like FileStore.CorruptSlot damages a slot, and its address is
+// returned; any other write (a log append, the file header) is damaged as
+// raw bytes and -1 is returned, as it is when no write was in flight. The
 // damage is deterministic in seed and is reported to the attached
 // observer as an EvCorrupt event.
-func (c *CrashStore) PowerCutDamaged(applied int, kind CorruptKind, seed int64) (*CrashStore, int32) {
-	return c.cut(applied, true, kind, seed)
+func (d *CrashDisk) PowerCutDamaged(applied int, kind CorruptKind, seed int64) (*CrashDisk, int32) {
+	return d.cut(applied, true, kind, seed)
 }
 
-func (c *CrashStore) cut(applied int, damage bool, kind CorruptKind, seed int64) (*CrashStore, int32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if applied < 0 {
-		applied = 0
+func (d *CrashDisk) cut(applied int, damage bool, kind CorruptKind, seed int64) (*CrashDisk, int32) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	applied = max(0, min(applied, len(d.journal)))
+	img := &CrashDisk{}
+	for _, m := range d.journal[:applied] {
+		img.files[m.file] = m.applyTo(img.files[m.file])
 	}
-	if applied > len(c.journal) {
-		applied = len(c.journal)
+	if !damage || applied == len(d.journal) || d.journal[applied].trunc {
+		// A truncate either happened or did not; there is no torn state
+		// to inject, so the damaged variant equals the clean cut.
+		return img, -1
 	}
-	img := &CrashStore{}
-	install := func(addr int32, frame []byte) {
-		for int(addr) >= len(img.slots) {
-			img.slots = append(img.slots, nil)
+	m := d.journal[applied]
+	m.data = append([]byte(nil), m.data...)
+	addr := int32(-1)
+	what := "log append"
+	var err error
+	if m.file == diskBuckets && m.off >= fileHeaderSize {
+		// FileStore writes whole slots past the header, so the write's
+		// length is the slot size.
+		addr = int32((m.off - fileHeaderSize) / int64(len(m.data)))
+		what = "write"
+		err = damageFrame(m.data, kind, corruptMix(seed, addr))
+	} else {
+		if m.file == diskBuckets {
+			what = "file header write"
 		}
-		img.slots[addr] = frame
+		var keep int
+		keep, err = damageBytes(m.data, kind, corruptMix(seed, int32(m.off)))
+		m.data = m.data[:keep]
 	}
-	replay := func(m crashMut) {
-		switch m.kind {
-		case mutSlot:
-			install(m.addr, append([]byte(nil), m.frame...))
-		case mutLogAppend:
-			img.log = append(img.log, m.frame...)
-		case mutLogTruncate:
-			if m.size <= int64(len(img.log)) {
-				img.log = img.log[:m.size]
-			}
-		}
-	}
-	for _, m := range c.journal[:applied] {
-		replay(m)
-	}
-	damagedAddr := int32(-1)
-	if damage && applied < len(c.journal) {
-		m := c.journal[applied]
-		switch m.kind {
-		case mutSlot:
-			frame := append([]byte(nil), m.frame...)
-			if err := damageFrame(frame, kind, corruptMix(seed, m.addr)); err == nil {
-				install(m.addr, frame)
-				damagedAddr = m.addr
-				c.hook.Observer().Emit(obs.Event{
-					Type: obs.EvCorrupt, Op: obs.OpWrite, Addr: m.addr,
-					Detail: fmt.Sprintf("power cut tore in-flight write (%s)", kind),
-				})
-			}
-		case mutLogAppend:
-			// The in-flight log append reaches the medium damaged: its torn,
-			// flipped or zeroed bytes land after the intact prefix. The frame
-			// CRC makes every variant a detectable damaged tail — no slot is
-			// hurt, so no damagedAddr is reported.
-			chunk := append([]byte(nil), m.frame...)
-			if keep, err := damageBytes(chunk, kind, corruptMix(seed, int32(len(img.log)))); err == nil {
-				img.log = append(img.log, chunk[:keep]...)
-				c.hook.Observer().Emit(obs.Event{
-					Type: obs.EvCorrupt, Op: obs.OpWrite, Addr: -1,
-					Detail: fmt.Sprintf("power cut tore in-flight log append (%s)", kind),
-				})
-			}
-		case mutLogTruncate:
-			// A truncate either happened or did not; there is no torn state
-			// to inject, so the damaged variant equals the clean cut.
-		}
-	}
-	// Rebuild bookkeeping from the surviving flags, the same
-	// classification OpenFile applies to a real file: flags == live is a
-	// live slot, everything else (freed, zeroed, never written) is free.
-	for a := int32(0); int(a) < len(img.slots); a++ {
-		if f := img.slots[a]; f != nil && len(f) > 0 && f[0] == slotLive {
-			img.live++
-		} else {
-			img.free = append(img.free, a)
-		}
-	}
-	return img, damagedAddr
-}
-
-// CorruptSlot implements Corrupter, damaging the current image in place
-// (the journal keeps the undamaged post-image: injected decay is a
-// property of the medium, not of the write that once succeeded).
-func (c *CrashStore) CorruptSlot(addr int32, kind CorruptKind, seed int64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	buf, err := c.frame(addr, "corrupt")
 	if err != nil {
-		return err
+		return img, -1
 	}
-	frame := append([]byte(nil), buf...)
-	if err := damageFrame(frame, kind, corruptMix(seed, addr)); err != nil {
-		return err
-	}
-	c.slots[addr] = frame
-	return nil
+	img.files[m.file] = m.applyTo(img.files[m.file])
+	d.hook.Observer().Emit(obs.Event{
+		Type: obs.EvCorrupt, Op: obs.OpWrite, Addr: addr,
+		Detail: fmt.Sprintf("power cut tore in-flight %s (%s)", what, kind),
+	})
+	return img, addr
 }
 
-// ReadRaw implements RawReader: the slot's frame bytes as "stored".
-func (c *CrashStore) ReadRaw(addr int32) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	buf, err := c.frame(addr, "raw read")
-	if err != nil {
-		return nil, err
+// damageBytes damages a raw byte chunk in place per kind — the log-append
+// analogue of damageFrame, for bytes with no slot-frame layout. It
+// returns how many leading bytes reached the medium: a tear keeps a
+// strict prefix (the suffix never landed), a flip or zero keeps the whole
+// damaged chunk.
+func damageBytes(buf []byte, kind CorruptKind, mix uint64) (int, error) {
+	if len(buf) == 0 {
+		return 0, fmt.Errorf("store: cannot damage an empty chunk")
 	}
-	return append([]byte(nil), buf...), nil
-}
-
-// ClearSlot implements SlotClearer: the slot is released regardless of
-// its content, with the clear journaled like any other mutation.
-func (c *CrashStore) ClearSlot(addr int32) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if addr < 0 || int(addr) >= len(c.slots) {
-		return fmt.Errorf("%w: clear of %d", ErrNotAllocated, addr)
-	}
-	wasLive := false
-	if f := c.slots[addr]; f != nil && len(f) > 0 && f[0] == slotLive {
-		wasLive = true
-	}
-	onFree := false
-	for _, a := range c.free {
-		if a == addr {
-			onFree = true
-			break
+	switch kind {
+	case CorruptTear:
+		return int(mix % uint64(len(buf))), nil
+	case CorruptFlip:
+		buf[mix%uint64(len(buf))] ^= 1 << ((mix >> 32) % 8)
+		return len(buf), nil
+	case CorruptZero:
+		for i := range buf {
+			buf[i] = 0
 		}
+		return len(buf), nil
+	default:
+		return 0, fmt.Errorf("store: unknown corruption kind %v", kind)
 	}
-	c.apply(addr, encodeFrame(slotFree, nil))
-	if wasLive {
-		c.live--
-	}
-	if !onFree {
-		c.free = append(c.free, addr)
-	}
-	return nil
 }
-
-// Buckets implements Store.
-func (c *CrashStore) Buckets() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.live
-}
-
-// MaxAddr implements Store.
-func (c *CrashStore) MaxAddr() int32 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return int32(len(c.slots))
-}
-
-// Counters implements Store.
-func (c *CrashStore) Counters() Counters { return c.ctr.snapshot() }
-
-// ResetCounters implements Store.
-func (c *CrashStore) ResetCounters() { c.ctr.reset() }
-
-// Close implements Store.
-func (c *CrashStore) Close() error { return nil }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"io"
 	"path/filepath"
 	"testing"
 
@@ -9,51 +10,76 @@ import (
 	"triehash/internal/obs"
 )
 
-func TestCrashStoreContract(t *testing.T) {
-	storeContract(t, NewCrash(), false)
+func TestCrashDiskContract(t *testing.T) {
+	s, err := CreateMedium((&CrashDisk{}).Buckets(), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeContract(t, s, false)
 }
 
-// TestCrashStoreJournalAndPowerCut verifies the journal/barrier model: a
-// power cut at a Sync mark reproduces exactly the state that was synced,
-// a cut at the full journal reproduces the present, and the cut image's
-// bookkeeping (live count, free-list reuse) matches the surviving flags.
-func TestCrashStoreJournalAndPowerCut(t *testing.T) {
-	cs := NewCrash()
+// openCut opens a power-cut image's bucket file with the shipped store.
+func openCut(t *testing.T, img *CrashDisk) *FileStore {
+	t.Helper()
+	s, err := OpenMedium(img.Buckets())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestCrashDiskJournalAndPowerCut verifies the journal/barrier model under
+// the shipped FileStore: a power cut at a Sync mark reproduces exactly the
+// state that was synced, a cut at the full journal reproduces the present,
+// and the reopened image's bookkeeping (live count, free-list reuse)
+// matches the surviving flags.
+func TestCrashDiskJournalAndPowerCut(t *testing.T) {
+	disk := &CrashDisk{}
+	fs, err := CreateMedium(disk.Buckets(), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mk := func(k, v string) *bucket.Bucket {
 		b := bucket.New(4)
 		b.Put(k, []byte(v))
 		return b
 	}
-	a0, _ := cs.Alloc()
-	a1, _ := cs.Alloc()
-	if err := cs.Write(a0, mk("alpha", "1")); err != nil {
+	a0, _ := fs.Alloc()
+	a1, _ := fs.Alloc()
+	if err := fs.Write(a0, mk("alpha", "1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := cs.Sync(); err != nil {
+	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	mark := cs.Journal()
-	if mark != 3 {
-		t.Fatalf("journal after 2 allocs + 1 write = %d, want 3", mark)
+	mark := disk.Journal()
+	if mark != 4 {
+		t.Fatalf("journal after header + 2 allocs + 1 write = %d, want 4", mark)
 	}
-	if err := cs.Write(a1, mk("beta", "2")); err != nil {
+	if err := fs.Write(a1, mk("beta", "2")); err != nil {
 		t.Fatal(err)
 	}
-	if err := cs.Free(a0); err != nil {
+	if err := fs.Free(a0); err != nil {
 		t.Fatal(err)
 	}
-	if got := cs.Syncs(); len(got) != 1 || got[0] != mark {
-		t.Fatalf("Syncs() = %v, want [%d]", got, mark)
+	if got := disk.Buckets().Synced(); got != mark {
+		t.Fatalf("Synced() = %d, want %d", got, mark)
+	}
+	if got := disk.Log().Synced(); got != 0 {
+		t.Fatalf("log Synced() = %d, want 0: a bucket sync is no log barrier", got)
 	}
 
-	// Cut at zero: nothing survives.
-	img := cs.PowerCut(0)
-	if img.Buckets() != 0 || img.MaxAddr() != 0 {
-		t.Fatalf("empty cut: %d buckets, max addr %d", img.Buckets(), img.MaxAddr())
+	// Cut at zero: not even the file header survives.
+	if _, err := OpenMedium(disk.PowerCut(0).Buckets()); err == nil {
+		t.Fatal("empty cut opened as a bucket file")
+	}
+	// Cut after the header: an empty bucket file.
+	if img := openCut(t, disk.PowerCut(1)); img.Buckets() != 0 || img.MaxAddr() != 0 {
+		t.Fatalf("header-only cut: %d buckets, max addr %d", img.Buckets(), img.MaxAddr())
 	}
 
 	// Cut at the barrier: the synced state, exactly.
-	img = cs.PowerCut(mark)
+	img := openCut(t, disk.PowerCut(mark))
 	if img.Buckets() != 2 {
 		t.Fatalf("cut at sync: %d buckets, want 2", img.Buckets())
 	}
@@ -69,7 +95,7 @@ func TestCrashStoreJournalAndPowerCut(t *testing.T) {
 	}
 
 	// Cut at the full journal: the present, including the free.
-	img = cs.PowerCut(cs.Journal())
+	img = openCut(t, disk.PowerCut(disk.Journal()))
 	if img.Buckets() != 1 {
 		t.Fatalf("full cut: %d buckets, want 1", img.Buckets())
 	}
@@ -82,47 +108,53 @@ func TestCrashStoreJournalAndPowerCut(t *testing.T) {
 	}
 
 	// Out-of-range cut positions clamp instead of panicking.
-	if cs.PowerCut(-5).Buckets() != 0 {
+	if _, err := OpenMedium(disk.PowerCut(-5).Buckets()); err == nil {
 		t.Fatal("negative cut not clamped to the empty image")
 	}
-	if cs.PowerCut(1<<20).Buckets() != cs.Buckets() {
+	if openCut(t, disk.PowerCut(1<<20)).Buckets() != fs.Buckets() {
 		t.Fatal("oversized cut not clamped to the full journal")
 	}
 }
 
-// TestCrashStorePowerCutDamaged verifies the torn in-flight write: the
-// damaged slot fails to read in the way its kind implies, and the damage
-// is deterministic in the seed.
-func TestCrashStorePowerCutDamaged(t *testing.T) {
-	cs := NewCrash()
+// TestCrashDiskPowerCutDamaged verifies the torn in-flight write: the
+// damaged slot fails to read in the way its kind implies, a damaged log
+// append leaves a damaged tail, and the damage is deterministic in the
+// seed.
+func TestCrashDiskPowerCutDamaged(t *testing.T) {
+	disk := &CrashDisk{}
 	hook := &obs.Hook{}
-	cs.SetObsHook(hook)
+	disk.SetObsHook(hook)
 	o := obs.New(obs.Config{TraceDepth: 16})
 	hook.Set(o)
+	fs, err := CreateMedium(disk.Buckets(), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	addr, _ := cs.Alloc()
+	addr, _ := fs.Alloc()
 	b := bucket.New(4)
 	b.Put("key", []byte("value"))
 	b.Put("key2", []byte("value2"))
-	if err := cs.Write(addr, b); err != nil {
+	if err := fs.Write(addr, b); err != nil {
 		t.Fatal(err)
 	}
-	k := cs.Journal() - 1 // the write is in flight
+	k := disk.Journal() - 1 // the write is in flight
 
 	for _, kind := range []CorruptKind{CorruptTear, CorruptFlip} {
-		img, damaged := cs.PowerCutDamaged(k, kind, 7)
+		img, damaged := disk.PowerCutDamaged(k, kind, 7)
 		if damaged != addr {
 			t.Fatalf("%v: damaged addr = %d, want %d", kind, damaged, addr)
 		}
-		_, err := img.Read(addr)
+		s := openCut(t, img)
+		_, err := s.Read(addr)
 		var ce *CorruptError
 		if !errors.Is(err, ErrCorrupt) || !errors.As(err, &ce) || ce.Addr != addr {
 			t.Fatalf("%v: damaged read = %v, want CorruptError on %d", kind, err, addr)
 		}
 		// Determinism: the same cut parameters produce identical bytes.
-		img2, _ := cs.PowerCutDamaged(k, kind, 7)
-		r1, _ := img.ReadRaw(addr)
-		r2, _ := img2.ReadRaw(addr)
+		img2, _ := disk.PowerCutDamaged(k, kind, 7)
+		r1, _ := s.ReadRaw(addr)
+		r2, _ := openCut(t, img2).ReadRaw(addr)
 		if string(r1) != string(r2) {
 			t.Fatalf("%v: damage not deterministic in the seed", kind)
 		}
@@ -130,21 +162,89 @@ func TestCrashStorePowerCutDamaged(t *testing.T) {
 
 	// Zeroing wipes the flags: the slot reads as never allocated — the
 	// undetectable loss the durability contract treats separately.
-	img, damaged := cs.PowerCutDamaged(k, CorruptZero, 7)
+	img, damaged := disk.PowerCutDamaged(k, CorruptZero, 7)
 	if damaged != addr {
 		t.Fatalf("zero: damaged addr = %d, want %d", damaged, addr)
 	}
-	if _, err := img.Read(addr); !errors.Is(err, ErrNotAllocated) {
+	if _, err := openCut(t, img).Read(addr); !errors.Is(err, ErrNotAllocated) {
 		t.Fatalf("zeroed read = %v, want ErrNotAllocated", err)
 	}
 
 	// With no mutation in flight there is nothing to damage.
-	if _, damaged := cs.PowerCutDamaged(cs.Journal(), CorruptTear, 7); damaged != -1 {
+	if _, damaged := disk.PowerCutDamaged(disk.Journal(), CorruptTear, 7); damaged != -1 {
 		t.Fatalf("damaged addr at journal end = %d, want -1", damaged)
+	}
+
+	// A torn log append keeps a strict prefix of the chunk and damages no
+	// slot.
+	log := disk.Log()
+	if _, err := log.WriteAt([]byte("0123456789"), 0); err != nil {
+		t.Fatal(err)
+	}
+	img, damaged = disk.PowerCutDamaged(disk.Journal()-1, CorruptTear, 7)
+	if damaged != -1 {
+		t.Fatalf("torn log append damaged slot %d", damaged)
+	}
+	if n, _ := img.Log().Seek(0, io.SeekEnd); n >= 10 {
+		t.Fatalf("torn log append left %d of 10 bytes, want a strict prefix", n)
 	}
 
 	if o.EventCount(obs.EvCorrupt) == 0 {
 		t.Fatal("power-cut damage emitted no EvCorrupt event")
+	}
+}
+
+// failingMedium is a crash-disk file whose WriteAt fails while fail is
+// set — a medium that rejects writes on demand.
+type failingMedium struct {
+	*CrashFile
+	fail bool
+}
+
+func (m *failingMedium) WriteAt(p []byte, off int64) (int, error) {
+	if m.fail {
+		return 0, errors.New("injected write failure")
+	}
+	return m.CrashFile.WriteAt(p, off)
+}
+
+// TestFileStoreAllocWriteFailure verifies that an Alloc whose slot write
+// fails gives its address back: a reused address returns to the free
+// list, a fresh one is not counted, and the next Alloc hands it out.
+func TestFileStoreAllocWriteFailure(t *testing.T) {
+	m := &failingMedium{CrashFile: (&CrashDisk{}).Buckets()}
+	fs, err := CreateMedium(m, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a0, _ := fs.Alloc()
+	if _, err := fs.Alloc(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Free(a0); err != nil {
+		t.Fatal(err)
+	}
+	m.fail = true
+	for i := 0; i < 2; i++ {
+		if _, err := fs.Alloc(); err == nil {
+			t.Fatal("Alloc succeeded on a failing medium")
+		}
+	}
+	m.fail = false
+	if fs.MaxAddr() != 2 || fs.Buckets() != 1 {
+		t.Fatalf("after failed Allocs: max addr %d, %d buckets; want 2 and 1", fs.MaxAddr(), fs.Buckets())
+	}
+	if a, err := fs.Alloc(); err != nil || a != a0 {
+		t.Fatalf("Alloc = %d, %v; want the freed %d", a, err, a0)
+	}
+	// A fresh address rolls back too.
+	m.fail = true
+	if _, err := fs.Alloc(); err == nil {
+		t.Fatal("Alloc succeeded on a failing medium")
+	}
+	m.fail = false
+	if a, err := fs.Alloc(); err != nil || a != 2 || fs.MaxAddr() != 3 {
+		t.Fatalf("Alloc = %d, %v with max addr %d; want 2 and 3", a, err, fs.MaxAddr())
 	}
 }
 

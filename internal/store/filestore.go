@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -36,7 +37,7 @@ import (
 // Concurrent operations on the *same* slot need external coordination
 // (the engine's per-bucket latches) — the store does not order them.
 type FileStore struct {
-	f        *os.File
+	f        Medium
 	slotSize int
 	hint     int          // capacity hint from the header; 0 = unknown
 	slots    atomic.Int32 // slots present in the file (allocated + freed)
@@ -58,9 +59,21 @@ const (
 	slotFree       = 0
 )
 
+// Medium is the file a FileStore keeps its slots in. *os.File satisfies
+// it, and so does a CrashDisk's file, which is how the crash harness cuts
+// the shipped store. Seek serves only the length query at open.
+type Medium interface {
+	io.ReaderAt
+	io.WriterAt
+	io.Seeker
+	Sync() error
+	Close() error
+}
+
 // CreateFile creates (truncating) a bucket file at path whose slots hold
 // serialized buckets of up to slotSize-9 bytes.
 func CreateFile(path string, slotSize int) (*FileStore, error) {
+	// Checked before the open truncates: a bad size leaves the file alone.
 	if slotSize <= slotHeaderSize+4 {
 		return nil, fmt.Errorf("store: slot size %d too small", slotSize)
 	}
@@ -68,15 +81,28 @@ func CreateFile(path string, slotSize int) (*FileStore, error) {
 	if err != nil {
 		return nil, err
 	}
+	s, err := CreateMedium(f, slotSize)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// CreateMedium formats an empty medium as a bucket file whose slots hold
+// serialized buckets of up to slotSize-9 bytes.
+func CreateMedium(m Medium, slotSize int) (*FileStore, error) {
+	if slotSize <= slotHeaderSize+4 {
+		return nil, fmt.Errorf("store: slot size %d too small", slotSize)
+	}
 	var hdr [fileHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], fileMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], fileVersion)
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(slotSize))
-	if _, err := f.WriteAt(hdr[:], 0); err != nil {
-		f.Close()
+	if _, err := m.WriteAt(hdr[:], 0); err != nil {
 		return nil, err
 	}
-	return &FileStore{f: f, slotSize: slotSize}, nil
+	return &FileStore{f: m, slotSize: slotSize}, nil
 }
 
 // OpenFile opens an existing bucket file, rebuilding the free list by
@@ -86,34 +112,43 @@ func OpenFile(path string) (*FileStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	var hdr [fileHeaderSize]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+	s, err := OpenMedium(f)
+	if err != nil {
 		f.Close()
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return s, nil
+}
+
+// OpenMedium opens the bucket file a medium holds, rebuilding the free
+// list by scanning slot headers.
+func OpenMedium(m Medium) (*FileStore, error) {
+	var hdr [fileHeaderSize]byte
+	if _, err := m.ReadAt(hdr[:], 0); err != nil {
 		return nil, fmt.Errorf("store: reading file header: %w", err)
 	}
 	if binary.LittleEndian.Uint32(hdr[0:]) != fileMagic {
-		f.Close()
-		return nil, fmt.Errorf("store: %s is not a bucket file", path)
+		return nil, errors.New("store: not a bucket file")
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:]); v != fileVersion {
-		f.Close()
 		return nil, fmt.Errorf("store: unsupported version %d", v)
 	}
 	s := &FileStore{
-		f:        f,
+		f:        m,
 		slotSize: int(binary.LittleEndian.Uint32(hdr[8:])),
 		hint:     int(binary.LittleEndian.Uint32(hdr[12:])),
 	}
-	st, err := f.Stat()
+	if s.slotSize <= slotHeaderSize+4 {
+		return nil, fmt.Errorf("store: corrupt slot size %d in file header", s.slotSize)
+	}
+	size, err := m.Seek(0, io.SeekEnd)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	s.slots.Store(int32((st.Size() - fileHeaderSize) / int64(s.slotSize)))
+	s.slots.Store(int32((size - fileHeaderSize) / int64(s.slotSize)))
 	for k := int32(0); k < s.slots.Load(); k++ {
 		var sh [slotHeaderSize]byte
-		if _, err := f.ReadAt(sh[:], s.offset(k)); err != nil {
-			f.Close()
+		if _, err := m.ReadAt(sh[:], s.offset(k)); err != nil {
 			return nil, fmt.Errorf("store: scanning slot %d: %w", k, err)
 		}
 		if sh[0] == slotLive {
@@ -254,7 +289,8 @@ func (s *FileStore) Alloc() (int32, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var addr int32
-	if n := len(s.free); n > 0 {
+	n := len(s.free)
+	if n > 0 {
 		addr = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
@@ -262,6 +298,13 @@ func (s *FileStore) Alloc() (int32, error) {
 		s.slots.Store(addr + 1)
 	}
 	if err := s.writeSlot(addr, slotLive, bucket.New(0).AppendFormat(nil, s.Format())); err != nil {
+		// Give the address back, or it is neither live nor free until
+		// the next open.
+		if n > 0 {
+			s.free = append(s.free, addr)
+		} else {
+			s.slots.Store(addr)
+		}
 		return 0, err
 	}
 	s.live++
@@ -376,7 +419,7 @@ func (s *FileStore) Sync() error { return s.f.Sync() }
 // Close implements Store.
 func (s *FileStore) Close() error {
 	if err := s.f.Sync(); err != nil {
-		s.f.Close()
+		_ = s.f.Close() // the sync error is the one to report
 		return err
 	}
 	return s.f.Close()

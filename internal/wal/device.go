@@ -2,15 +2,14 @@ package wal
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
 
 // Device is the byte medium a Log writes to: append-only except for
-// checkpoint truncation. It is deliberately tiny and defined here, not in
-// the store package, so any store can expose a log facet structurally
-// (CrashStore does, to put every WAL byte position under the power-cut
-// generator) without importing wal.
+// checkpoint truncation. The Log sees only this tiny surface; FileDevice
+// and MemDevice implement it.
 type Device interface {
 	// Append writes p at the current end of the log. The bytes are
 	// buffered: they survive a crash only after Sync.
@@ -28,10 +27,23 @@ type Device interface {
 	Close() error
 }
 
+// Medium is the file a FileDevice keeps the log in. *os.File satisfies
+// it, and so does a store.CrashDisk's file, which is how the crash
+// harness cuts the shipped device. Seek serves only the length query at
+// open.
+type Medium interface {
+	io.ReaderAt
+	io.WriterAt
+	io.Seeker
+	Truncate(size int64) error
+	Sync() error
+	Close() error
+}
+
 // FileDevice is the production Device: one append-only file.
 type FileDevice struct {
 	mu   sync.Mutex
-	f    *os.File
+	f    Medium
 	size int64
 }
 
@@ -41,12 +53,22 @@ func OpenFileDevice(path string) (*FileDevice, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
+	d, err := OpenMediumDevice(f)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	return &FileDevice{f: f, size: st.Size()}, nil
+	return d, nil
+}
+
+// OpenMediumDevice returns the device over a log medium; appends go to
+// its current end.
+func OpenMediumDevice(m Medium) (*FileDevice, error) {
+	size, err := m.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, err
+	}
+	return &FileDevice{f: m, size: size}, nil
 }
 
 // Append implements Device.

@@ -137,10 +137,6 @@ type Options struct {
 	// A single-threaded workload produces a file byte-identical to the
 	// default engine's.
 	Concurrent bool
-	// BulkWorkers bounds the goroutines BulkLoad packs and writes buckets
-	// with (0 or 1 = the sequential loader). The loaded file is identical
-	// either way.
-	BulkWorkers int
 	// WAL turns on the write-ahead log, the hot durability path: every
 	// Put/Delete is framed into dir/wal.th and is durable when the call
 	// returns, with concurrent writers sharing fsyncs through group commit
@@ -501,19 +497,13 @@ func BulkLoad(dir string, opts Options, fill float64, next func() (key string, v
 	}
 	st = wrapCache(opts, st)
 	st, hook := instrument(st)
-	load := core.BulkLoad
-	if opts.BulkWorkers > 1 {
-		load = func(cfg core.Config, st store.Store, fill float64, next func() (string, []byte, bool)) (*core.File, error) {
-			return core.BulkLoadParallel(cfg, st, fill, next, opts.BulkWorkers)
-		}
-	}
 	cfg := opts.coreConfig()
 	if fs != nil {
 		// Persistent loads pack against the slot payload as well as the
 		// record count, so a run of large records cannot overflow a slot.
 		cfg.PageBudget = fs.PayloadSize()
 	}
-	c, err := load(cfg, st, fill, next)
+	c, err := core.BulkLoad(cfg, st, fill, next)
 	if err != nil {
 		_ = st.Close() // the load error takes precedence
 		return nil, err
@@ -659,8 +649,8 @@ func OpenAt(dir string) (*File, error) {
 // OpenAtWith reopens a file with runtime options applied. The file's
 // structural configuration (capacity, variant, split positions) comes from
 // its metadata; opts contributes only the per-open choices — CacheFrames
-// for a buffer pool, Concurrent for the /VID87/ engine, BulkWorkers — and
-// the rest of opts is ignored.
+// for a buffer pool, Concurrent for the /VID87/ engine, WAL and its
+// checkpoint and format choices — and the rest of opts is ignored.
 func OpenAtWith(dir string, opts Options) (*File, error) {
 	meta, err := os.ReadFile(filepath.Join(dir, "meta.th"))
 	if err != nil {
@@ -681,8 +671,7 @@ func OpenAtWith(dir string, opts Options) (*File, error) {
 		f.alpha = c.Config().Alphabet
 		f.opts = Options{
 			BucketCapacity: c.Config().Capacity, SlotBytes: fs.SlotSize(),
-			CacheFrames: opts.CacheFrames, Concurrent: opts.Concurrent,
-			BulkWorkers: opts.BulkWorkers, WAL: opts.WAL,
+			CacheFrames: opts.CacheFrames, Concurrent: opts.Concurrent, WAL: opts.WAL,
 			CheckpointBytes: opts.CheckpointBytes, FormatVersion: opts.FormatVersion,
 		}
 		if opts.Concurrent {
