@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"triehash/internal/store"
 	"triehash/internal/workload"
 )
 
@@ -220,5 +221,122 @@ func TestOpenAtDamagedBuckets(t *testing.T) {
 	}
 	if _, err := OpenAt(dir2); err == nil {
 		t.Fatal("salvage of a zero-length bucket file succeeded")
+	}
+
+	// A damaged slot header: the flag byte is neither live nor free, or
+	// the whole header is zeroed so the slot reads as freed. The open
+	// scan must not put the trie's bucket on the free list, or the next
+	// split reuses the slot and the damaged bucket's keys silently turn
+	// into ErrNotFound while the trie's leaf runs break.
+	for _, eng := range []struct {
+		name string
+		opts Options
+	}{
+		{"serial", Options{BucketCapacity: 4}},
+		{"concurrent", Options{BucketCapacity: 4, Concurrent: true}},
+		{"multilevel", Options{BucketCapacity: 4, Variant: TH, PageCapacity: 8}},
+	} {
+		for _, kind := range []string{"flag", "zero"} {
+			t.Run(eng.name+"/"+kind, func(t *testing.T) {
+				openDamagedHeader(t, eng.opts, kind)
+			})
+		}
+	}
+}
+
+// openDamagedHeader damages slot 0's header of a closed file, reopens
+// it and grows it past more splits.
+func openDamagedHeader(t *testing.T, opts Options, kind string) {
+	dir := filepath.Join(t.TempDir(), "db")
+	f, err := CreateAt(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := workload.Uniform(5, 80, 3, 9)
+	for _, k := range ks[:40] {
+		if err := f.Put(k, []byte("v:"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "buckets.th")
+	fs, err := store.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b0, err := fs.Read(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := b0.Keys()
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(lost) == 0 {
+		t.Fatal("slot 0 holds no keys to lose")
+	}
+	hdr := []byte{0x55}
+	if kind == "zero" {
+		hdr = make([]byte, 9)
+	}
+	bf, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bf.WriteAt(hdr, 32); err != nil { // slot 0, past the file header
+		t.Fatal(err)
+	}
+	if err := bf.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g, err := OpenAtWith(dir, Options{Concurrent: opts.Concurrent})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	checkLost := func(when string) {
+		t.Helper()
+		for _, k := range lost {
+			if _, err := g.Get(k); err == nil || errors.Is(err, ErrNotFound) {
+				t.Fatalf("%s: Get(%q) of the damaged bucket = %v, want a read error", when, k, err)
+			}
+		}
+	}
+	checkLost("after open")
+	for _, k := range ks[40:] {
+		// Puts into the damaged bucket fail; the rest split as usual.
+		_ = g.Put(k, []byte("v:"+k))
+	}
+	checkLost("after 40 Puts")
+	prev, n := "", 0
+	err = g.Range("", "", func(k string, _ []byte) bool {
+		if n > 0 && k <= prev {
+			t.Fatalf("Range yields %q after %q", k, prev)
+		}
+		prev, n = k, n+1
+		return true
+	})
+	if err == nil {
+		t.Fatal("a full Range read past the damaged bucket without an error")
+	}
+	if opts.PageCapacity > 0 {
+		return // Scrub is a single-level repair
+	}
+	rep, err := g.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := rep.Quarantined
+	if kind == "zero" {
+		found = rep.Vanished
+	}
+	if len(found) != 1 || found[0].Addr != 0 {
+		t.Fatalf("scrub report %+v does not name slot 0", rep)
+	}
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatalf("after Scrub: %v", err)
 	}
 }

@@ -6,9 +6,9 @@
 package bucket
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"triehash/internal/format"
 )
@@ -205,8 +205,10 @@ func (b *Bucket) Bytes() int {
 	return n
 }
 
-// sharedPrefix returns the number of leading bytes key shares with ref.
-func sharedPrefix(key string, ref []byte) int {
+// sharedPrefix returns the number of leading bytes key shares with ref:
+// the bucket's bound for the first record, the previous key after that.
+// Comparing in place keeps the encoder free of per-record conversions.
+func sharedPrefix[R string | []byte](key string, ref R) int {
 	n := len(key)
 	if len(ref) < n {
 		n = len(ref)
@@ -216,6 +218,14 @@ func sharedPrefix(key string, ref []byte) int {
 		i++
 	}
 	return i
+}
+
+// prefixLen is the shared-prefix length record i is encoded with.
+func (b *Bucket) prefixLen(i int) int {
+	if i == 0 {
+		return sharedPrefix(b.recs[0].Key, b.bound)
+	}
+	return sharedPrefix(b.recs[i].Key, b.recs[i-1].Key)
 }
 
 // EncodedLen returns the exact serialized size of the bucket under
@@ -232,14 +242,12 @@ func (b *Bucket) EncodedLen(v format.Version) int {
 		n += format.UvarintLen(uint64(len(b.bound)+1)) + len(b.bound)
 	}
 	n += format.UvarintLen(uint64(len(b.recs)))
-	ref := b.bound
-	for _, r := range b.recs {
-		cp := sharedPrefix(r.Key, ref)
+	for i, r := range b.recs {
+		cp := b.prefixLen(i)
 		suffix := len(r.Key) - cp
 		n += format.UvarintLen(uint64(cp)) +
 			format.UvarintLen(uint64(suffix)) + suffix +
 			format.UvarintLen(uint64(len(r.Value))) + len(r.Value)
-		ref = []byte(r.Key)
 	}
 	return n
 }
@@ -264,15 +272,13 @@ func (b *Bucket) AppendFormat(buf []byte, v format.Version) []byte {
 	// Keys compress against the previous key (the bucket's bound for the
 	// first record): records in a leaf share the leaf's trie-path prefix
 	// and sorted neighbours share even longer runs.
-	ref := b.bound
-	for _, r := range b.recs {
-		cp := sharedPrefix(r.Key, ref)
+	for i, r := range b.recs {
+		cp := b.prefixLen(i)
 		buf = binary.AppendUvarint(buf, uint64(cp))
 		buf = binary.AppendUvarint(buf, uint64(len(r.Key)-cp))
 		buf = append(buf, r.Key[cp:]...)
 		buf = binary.AppendUvarint(buf, uint64(len(r.Value)))
 		buf = append(buf, r.Value...)
-		ref = []byte(r.Key)
 	}
 	return buf
 }
@@ -329,6 +335,11 @@ func DecodeBinary(buf []byte) (*Bucket, int, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(buf[off:]))
 	off += 4
+	// Each record costs at least its two 4-byte length prefixes; reject
+	// counts the remaining bytes cannot hold before allocating.
+	if n > (len(buf)-off)/8 {
+		return nil, 0, fmt.Errorf("bucket: decode: record count %d exceeds page", n)
+	}
 	b.recs = make([]Record, 0, n)
 	prev := ""
 	for i := 0; i < n; i++ {
@@ -377,10 +388,10 @@ func decodeV2(buf []byte) (*Bucket, int, error) {
 	}
 	off += n
 	if bc > 0 {
-		bl := int(bc - 1)
-		if bl > len(buf)-off {
-			return nil, 0, fmt.Errorf("bucket: decode: truncated bound of %d bytes", bl)
+		if bc-1 > uint64(len(buf)-off) {
+			return nil, 0, fmt.Errorf("bucket: decode: truncated bound of %d bytes", bc-1)
 		}
+		bl := int(bc - 1)
 		b.bound = append([]byte(nil), buf[off:off+bl]...)
 		off += bl
 	}
@@ -394,83 +405,85 @@ func decodeV2(buf []byte) (*Bucket, int, error) {
 	if cnt > uint64(len(buf)-off)/3+1 {
 		return nil, 0, fmt.Errorf("bucket: decode: record count %d exceeds page", cnt)
 	}
-	b.recs = make([]Record, 0, cnt)
-	// Arena decoding: every reconstructed key is appended to one byte
-	// buffer (the running tail doubles as the prefix reference) and every
-	// value to another, then the records sub-slice them — two allocations
-	// for the whole page instead of two per record, which is what lets a
-	// v2 page holding more records than its v1 twin still decode in
-	// comparable time. Value sub-slices are capacity-capped so a caller
-	// appending to one cannot clobber its neighbour.
-	// starts is one backing array for both offset tables: keys first,
-	// values second.
-	starts := make([]int, 2*(cnt+1))
-	var (
-		// Suffix and value bytes both come out of the page, so the page
-		// length bounds the value arena; keys re-expand their shared
-		// prefixes, so their arena starts at the page length (typical
-		// expansion is well under the suffix+value bytes it displaces)
-		// and grows only for extreme sharing.
-		keyArena  = make([]byte, 0, len(buf)-off)
-		valArena  = make([]byte, 0, len(buf)-off)
-		keyStarts = starts[0 : 0 : cnt+1]
-		valStarts = starts[cnt+1 : cnt+1 : 2*(cnt+1)]
-		ref       = b.bound
-	)
-	for i := 0; i < int(cnt); i++ {
-		cp64, n := format.Uvarint(buf[off:])
+	// Pass 1 checks every record's framing and totals the expanded key
+	// bytes and the value bytes. Pass 2 then fills two arenas allocated
+	// once at exactly those sizes: all keys in one string (the previous
+	// key, already in it, supplies each shared prefix) and all values in
+	// one byte slice, which the records sub-slice. That is five
+	// allocations per page whatever its record count, and a page's
+	// arenas stay as small as its records. Value sub-slices are
+	// capacity-capped so a caller appending to one cannot clobber its
+	// neighbour.
+	keyBytes, valBytes := 0, 0
+	prevLen := len(b.bound)
+	for i, p := 0, off; i < int(cnt); i++ {
+		cp, n := format.Uvarint(buf[p:])
 		if n == 0 {
 			return nil, 0, fmt.Errorf("bucket: decode: truncated prefix length at record %d", i)
 		}
-		off += n
-		if cp64 > uint64(len(ref)) {
-			return nil, 0, fmt.Errorf("bucket: decode: shared prefix %d exceeds reference key of %d bytes at record %d", cp64, len(ref), i)
+		p += n
+		if cp > uint64(prevLen) {
+			return nil, 0, fmt.Errorf("bucket: decode: shared prefix %d exceeds reference key of %d bytes at record %d", cp, prevLen, i)
 		}
-		sl64, n := format.Uvarint(buf[off:])
+		sl, n := format.Uvarint(buf[p:])
 		if n == 0 {
 			return nil, 0, fmt.Errorf("bucket: decode: truncated suffix length at record %d", i)
 		}
-		off += n
-		sl := int(sl64)
-		if sl > len(buf)-off {
+		p += n
+		if sl > uint64(len(buf)-p) {
 			return nil, 0, fmt.Errorf("bucket: decode: truncated key suffix at record %d", i)
 		}
-		keyStarts = append(keyStarts, len(keyArena))
-		keyArena = append(keyArena, ref[:cp64]...)
-		keyArena = append(keyArena, buf[off:off+sl]...)
-		key := keyArena[keyStarts[i]:]
-		off += sl
-		vl64, n := format.Uvarint(buf[off:])
+		p += int(sl)
+		vl, n := format.Uvarint(buf[p:])
 		if n == 0 {
 			return nil, 0, fmt.Errorf("bucket: decode: truncated value length at record %d", i)
 		}
-		off += n
-		vl := int(vl64)
-		if vl > len(buf)-off {
+		p += n
+		if vl > uint64(len(buf)-p) {
 			return nil, 0, fmt.Errorf("bucket: decode: truncated value at record %d", i)
 		}
-		valStarts = append(valStarts, len(valArena))
-		valArena = append(valArena, buf[off:off+vl]...)
-		off += vl
-		if i > 0 {
-			// key[:cp64] was copied out of prev, so ordering reduces to
-			// the tails beyond the shared prefix.
-			prev := keyArena[keyStarts[i-1]:keyStarts[i]]
-			if bytes.Compare(key[cp64:], prev[cp64:]) <= 0 {
-				return nil, 0, fmt.Errorf("bucket: decode: keys out of order (%q after %q)", key, prev)
-			}
-		}
-		ref = key
+		p += int(vl)
+		prevLen = int(cp + sl)
+		keyBytes += prevLen
+		valBytes += int(vl)
 	}
-	keyStarts = append(keyStarts, len(keyArena))
-	valStarts = append(valStarts, len(valArena))
-	ks := string(keyArena)
-	for i := 0; i < int(cnt); i++ {
-		var val []byte
-		if a, z := valStarts[i], valStarts[i+1]; z > a {
-			val = valArena[a:z:z]
+	var keys strings.Builder
+	keys.Grow(keyBytes)
+	vals := make([]byte, 0, valBytes)
+	b.recs = make([]Record, cnt)
+	prev := ""
+	for i := range b.recs {
+		// Pass 1 checked these lengths.
+		cp, n := format.Uvarint(buf[off:])
+		off += n
+		sl, n := format.Uvarint(buf[off:])
+		off += n
+		start := keys.Len()
+		if i == 0 {
+			keys.Write(b.bound[:cp])
+		} else {
+			keys.WriteString(prev[:cp])
 		}
-		b.recs = append(b.recs, Record{Key: ks[keyStarts[i]:keyStarts[i+1]], Value: val})
+		keys.Write(buf[off : off+int(sl)])
+		off += int(sl)
+		// The builder never rewrites bytes it holds, so the key stays
+		// valid as the arena fills.
+		key := keys.String()[start:]
+		// key[:cp] was copied out of prev, so ordering reduces to the
+		// tails beyond the shared prefix.
+		if i > 0 && key[cp:] <= prev[cp:] {
+			return nil, 0, fmt.Errorf("bucket: decode: keys out of order (%q after %q)", key, prev)
+		}
+		vl, n := format.Uvarint(buf[off:])
+		off += n
+		if vl > 0 {
+			a := len(vals)
+			vals = append(vals, buf[off:off+int(vl)]...)
+			b.recs[i].Value = vals[a:len(vals):len(vals)]
+			off += int(vl)
+		}
+		b.recs[i].Key = key
+		prev = key
 	}
 	return b, off, nil
 }

@@ -1,11 +1,15 @@
 package bucket
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"triehash/internal/format"
 )
 
 func TestPutGetDelete(t *testing.T) {
@@ -146,6 +150,83 @@ func TestEncodeDecode(t *testing.T) {
 				t.Fatalf("value mismatch for %q", k)
 			}
 		}
+	}
+}
+
+// sharedKeyBucket returns a random bucket whose keys of up to about 250
+// bytes share all but their last bytes, so the v2 page stores each key
+// as a few suffix bytes and the expanded keys outgrow the page.
+func sharedKeyBucket(rng *rand.Rand) *Bucket {
+	stem := make([]byte, 200+rng.Intn(48))
+	for i := range stem {
+		stem[i] = byte('a' + rng.Intn(26))
+	}
+	b := New(16)
+	if rng.Intn(2) == 0 {
+		b.SetBound(append(append([]byte(nil), stem...), '~'))
+	}
+	for i, n := 0, 1+rng.Intn(15); i < n; i++ {
+		k := append(append([]byte(nil), stem[:len(stem)-rng.Intn(3)]...), byte('a'+rng.Intn(26)), byte('a'+rng.Intn(26)))
+		v := make([]byte, rng.Intn(4))
+		rng.Read(v)
+		b.Put(string(k), v)
+	}
+	return b
+}
+
+// TestAppendFormatRoundTrip encodes random buckets at both versions
+// after a non-empty prefix, the way a store encodes into a slot frame
+// behind its header: the prefix stays untouched, EncodedLen equals the
+// appended length, and decoding round-trips.
+func TestAppendFormatRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	prefix := []byte("slot-hdr:")
+	for trial := 0; trial < 200; trial++ {
+		b := sharedKeyBucket(rng)
+		for _, v := range []format.Version{format.V1, format.V2} {
+			buf := b.AppendFormat(append(make([]byte, 0, 64), prefix...), v)
+			if !bytes.Equal(buf[:len(prefix)], prefix) {
+				t.Fatalf("v%d: AppendFormat changed the prefix to %q", v, buf[:len(prefix)])
+			}
+			page := buf[len(prefix):]
+			if got := b.EncodedLen(v); got != len(page) {
+				t.Fatalf("v%d: EncodedLen = %d, appended %d", v, got, len(page))
+			}
+			back, n, err := DecodeBinary(page)
+			if err != nil {
+				t.Fatalf("v%d: %v", v, err)
+			}
+			if n != len(page) || back.DecodedFormat() != v || !bytes.Equal(back.Bound(), b.Bound()) {
+				t.Fatalf("v%d: consumed %d of %d, format %v, bound %q", v, n, len(page), back.DecodedFormat(), back.Bound())
+			}
+			if !reflect.DeepEqual(back.Keys(), b.Keys()) {
+				t.Fatalf("v%d: keys %q, want %q", v, back.Keys(), b.Keys())
+			}
+			for i := 0; i < b.Len(); i++ {
+				if !bytes.Equal(back.At(i).Value, b.At(i).Value) {
+					t.Fatalf("v%d: value %d differs", v, i)
+				}
+			}
+		}
+	}
+}
+
+// TestEncodedLenZeroAlloc: the byte-budget gate measures a page on every
+// Put, so measuring must not allocate.
+func TestEncodedLenZeroAlloc(t *testing.T) {
+	b := New(20)
+	b.SetBound([]byte("user:9"))
+	for i := 0; i < 20; i++ {
+		b.Put(fmt.Sprintf("user:%04d", i*7), []byte("value"))
+	}
+	for _, v := range []format.Version{format.V1, format.V2} {
+		if allocs := testing.AllocsPerRun(100, func() { b.EncodedLen(v) }); allocs != 0 {
+			t.Errorf("EncodedLen(v%d) makes %v allocations, want 0", v, allocs)
+		}
+	}
+	buf := make([]byte, 0, 4096)
+	if allocs := testing.AllocsPerRun(100, func() { buf = b.AppendFormat(buf[:0], format.V2) }); allocs != 0 {
+		t.Errorf("AppendFormat into a large enough buffer makes %v allocations, want 0", allocs)
 	}
 }
 

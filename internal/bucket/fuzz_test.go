@@ -2,6 +2,7 @@ package bucket
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"triehash/internal/format"
@@ -36,6 +37,10 @@ func FuzzBucketDecodeV2(f *testing.F) {
 	future := append([]byte(nil), enc...)
 	future[4] = 9 // unknown future version: typed error, no panic
 	f.Add(future)
+
+	// Long keys that share all but their last bytes: the expanded keys
+	// outgrow the page, the case the key arena must size for.
+	f.Add(sharedKeyBucket(rand.New(rand.NewSource(1))).AppendFormat(nil, format.V2))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, n, err := DecodeBinary(data)

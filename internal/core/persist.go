@@ -90,3 +90,15 @@ func Open(meta []byte, st store.Store) (*File, error) {
 	}
 	return f.resolveStore(), nil
 }
+
+// BucketAddrs returns the bucket address of every non-nil trie leaf; a
+// bucket with several leaves appears once per leaf.
+func (f *File) BucketAddrs() []int32 {
+	var out []int32
+	for _, l := range f.trie.InorderLeafPtrs() {
+		if !l.IsNil() {
+			out = append(out, l.Addr())
+		}
+	}
+	return out
+}

@@ -28,10 +28,15 @@ func (f *File) Format() format.Version {
 	return f.fmtv
 }
 
+// modeRecordLen is the size of the record after the pages: the split
+// mode (u8) and THCL's bounding-key position (u32).
+const modeRecordLen = 5
+
 // SaveMeta serializes the page hierarchy and counters; together with a
 // persistent bucket store this makes the multilevel file durable. The
 // version field mirrors Format(): the header layout is shared, the trie
-// page encoding that follows is what changes between versions.
+// page encoding that follows is what changes between versions. The mode
+// record follows the pages; readers that predate it ignore it.
 func (f *File) SaveMeta() []byte {
 	var hdr [40]byte
 	binary.LittleEndian.PutUint32(hdr[0:], metaMagic)
@@ -50,6 +55,10 @@ func (f *File) SaveMeta() []byte {
 		buf = append(buf, lv[:]...)
 		buf = p.tr.AppendFormat(buf, f.Format())
 	}
+	var mode [modeRecordLen]byte
+	mode[0] = byte(f.cfg.Mode)
+	binary.LittleEndian.PutUint32(mode[1:], uint32(f.cfg.BoundPos))
+	buf = append(buf, mode[:]...)
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(buf))
 	return append(buf, sum[:]...)
@@ -105,10 +114,49 @@ func Open(meta []byte, st store.Store) (*File, error) {
 	if len(f.pages) == 0 || int(f.root) >= len(f.pages) {
 		return nil, fmt.Errorf("mlth: open: invalid root page %d of %d", f.root, len(f.pages))
 	}
+	if len(meta) >= off+modeRecordLen {
+		f.cfg.Mode = trie.Mode(meta[off])
+		f.cfg.BoundPos = int(binary.LittleEndian.Uint32(meta[off+1:]))
+	} else if f.sharesLeaves() {
+		// A meta without the record predates it. Only THCL gives a bucket
+		// two leaves, so a shared leaf marks a THCL file (with the default
+		// bounding position); a file without one is a valid basic file
+		// and reads as basic TH.
+		f.cfg.Mode = trie.ModeTHCL
+	}
 	cfg, err := f.cfg.withDefaults()
 	if err != nil {
 		return nil, fmt.Errorf("mlth: open: %w", err)
 	}
 	f.cfg = cfg
 	return f, nil
+}
+
+// BucketAddrs returns the bucket address of every non-nil leaf of the
+// file-level pages; a bucket with several leaves appears once per leaf.
+func (f *File) BucketAddrs() []int32 {
+	var out []int32
+	for _, p := range f.pages {
+		if p.level != 0 {
+			continue
+		}
+		for _, l := range p.tr.InorderLeafPtrs() {
+			if !l.IsNil() {
+				out = append(out, l.Addr())
+			}
+		}
+	}
+	return out
+}
+
+// sharesLeaves reports whether some bucket has two leaves.
+func (f *File) sharesLeaves() bool {
+	seen := make(map[int32]bool)
+	for _, a := range f.BucketAddrs() {
+		if seen[a] {
+			return true
+		}
+		seen[a] = true
+	}
+	return false
 }

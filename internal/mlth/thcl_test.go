@@ -1,8 +1,10 @@
 package mlth
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"sort"
 	"testing"
@@ -183,5 +185,62 @@ func TestTHCLPersistMultilevel(t *testing.T) {
 	}
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPersistModeRecord reopens multilevel files through their mode
+// record and through a meta written before the record existed (the same
+// meta with the record cut off): the split mode and bounding position must
+// survive, and a legacy meta must read as THCL exactly when a bucket has
+// two leaves. Every reopened file then grows through more splits.
+func TestPersistModeRecord(t *testing.T) {
+	for _, cfg := range []Config{
+		{Capacity: 6, PageCapacity: 10, Mode: trie.ModeTHCL},
+		{Capacity: 8, PageCapacity: 16, Mode: trie.ModeTHCL, SplitPos: 4, BoundPos: 5},
+		{Capacity: 6, PageCapacity: 10, Mode: trie.ModeBasic},
+	} {
+		st := store.NewMem()
+		f, err := New(cfg, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := randomKeys(21, 1200)
+		for _, k := range keys[:800] {
+			if _, err := f.Put(k, []byte(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if shared := f.sharesLeaves(); shared != (cfg.Mode == trie.ModeTHCL) {
+			t.Fatalf("%+v: shared leaves %v", cfg, shared)
+		}
+		meta := f.SaveMeta()
+		body := meta[:len(meta)-4-modeRecordLen]
+		legacy := binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
+		for name, m := range map[string][]byte{"record": meta, "legacy": legacy} {
+			g, err := Open(m, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := f.cfg
+			if name == "legacy" {
+				want.BoundPos = want.Capacity + 1 // not recorded: the default
+			}
+			if g.cfg.Mode != want.Mode || g.cfg.BoundPos != want.BoundPos {
+				t.Fatalf("%+v, %s meta: reopened as mode %v bound position %d, want %v %d",
+					cfg, name, g.cfg.Mode, g.cfg.BoundPos, want.Mode, want.BoundPos)
+			}
+		}
+		g, err := Open(meta, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys[800:] {
+			if _, err := g.Put(k, []byte(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := g.CheckInvariants(); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
 	}
 }

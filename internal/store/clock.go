@@ -19,8 +19,9 @@ import (
 //
 // Frames hold immutable bucket snapshots: a Write or miss-fill installs a
 // fresh copy and never mutates one in place. That is what lets ReadView
-// hand hits out without cloning (the zero-allocation read path); Read
-// keeps the Store contract and clones.
+// hand hits out without cloning (the zero-allocation read path), and
+// install the bucket a miss read without cloning it; Read keeps the Store
+// contract and clones.
 type ShardedCache struct {
 	Store
 	mask   int32
@@ -224,17 +225,22 @@ func (sh *clockShard) drop(addr int32) {
 	sh.mu.Unlock()
 }
 
-// fill resolves a miss: one underlying read, one private snapshot
-// installed. The owned copy is returned to the caller; the frame keeps
-// its own clone so later caller mutations cannot reach the pool.
-func (c *ShardedCache) fill(sh *clockShard, addr int32) (*bucket.Bucket, error) {
+// fill resolves a miss: one underlying read, one snapshot installed. For
+// an owned read the caller gets the bucket read and the frame keeps a
+// clone, so later caller mutations cannot reach the pool; a view shares
+// the freshly read bucket with the frame, since neither mutates it.
+func (c *ShardedCache) fill(sh *clockShard, addr int32, owned bool) (*bucket.Bucket, error) {
 	sh.misses.Add(1)
 	c.hook.Observer().Emit(obs.Event{Type: obs.EvCacheMiss, Addr: addr})
 	b, err := c.Store.Read(addr)
 	if err != nil {
 		return nil, err
 	}
-	if victim, evicted := sh.install(addr, b.Clone(), false); evicted {
+	snap := b
+	if owned {
+		snap = b.Clone()
+	}
+	if victim, evicted := sh.install(addr, snap, false); evicted {
 		c.hook.Observer().Emit(obs.Event{Type: obs.EvCacheEvict, Addr: victim})
 	}
 	return b, nil
@@ -249,12 +255,13 @@ func (c *ShardedCache) Read(addr int32) (*bucket.Bucket, error) {
 		c.hook.Observer().Emit(obs.Event{Type: obs.EvCacheHit, Addr: addr})
 		return b.Clone(), nil
 	}
-	return c.fill(sh, addr)
+	return c.fill(sh, addr, true)
 }
 
 // ReadView implements Viewer: a hit returns the frame's immutable
 // snapshot directly — no clone, no allocation — under the read-only
-// contract. A miss fills the frame and returns its snapshot.
+// contract. A miss installs the bucket it read and returns that same
+// snapshot, uncloned.
 func (c *ShardedCache) ReadView(addr int32) (*bucket.Bucket, error) {
 	sh := c.shard(addr)
 	if b, ok := sh.lookup(addr); ok {
@@ -262,11 +269,7 @@ func (c *ShardedCache) ReadView(addr int32) (*bucket.Bucket, error) {
 		c.hook.Observer().Emit(obs.Event{Type: obs.EvCacheHit, Addr: addr})
 		return b, nil
 	}
-	b, err := c.fill(sh, addr)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
+	return c.fill(sh, addr, false)
 }
 
 // ReadViewTagged is ReadView plus the hit/miss verdict, so a span-carrying
@@ -279,7 +282,7 @@ func (c *ShardedCache) ReadViewTagged(addr int32) (*bucket.Bucket, bool, error) 
 		c.hook.Observer().Emit(obs.Event{Type: obs.EvCacheHit, Addr: addr})
 		return b, true, nil
 	}
-	b, err := c.fill(sh, addr)
+	b, err := c.fill(sh, addr, false)
 	if err != nil {
 		return nil, false, err
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,24 +32,50 @@ import (
 // metadata is lost without being told b. Zero (files written before the
 // hint existed) means "unknown"; the salvage path then infers b from the
 // fullest surviving bucket.
+//
+// Every transfer is one positioned read or write of a whole slot frame
+// (header and page) in a pooled slot-sized buffer. The store keeps each
+// slot's state in memory — live, free or damaged — filled by the header
+// scan at open, so Write and Free check it instead of reading the slot
+// back. A slot is damaged when its flag byte was neither live nor free at
+// open, when the file's metadata references it but the scan did not find
+// it live (ClaimReferenced), or when a Read of it failed with ErrCorrupt.
+// Write and Free refuse a damaged slot with ErrCorrupt, Alloc never
+// returns it, and ClearSlot is the only way out — MemStore's rule.
+//
 // FileStore is safe for concurrent use: reads and writes of distinct
 // slots are independent positioned I/O, the slot count is atomic, and the
-// allocator bookkeeping (free list, live count) is mutex-guarded.
-// Concurrent operations on the *same* slot need external coordination
-// (the engine's per-bucket latches) — the store does not order them.
+// allocator bookkeeping (slot states, free list, live count) is
+// mutex-guarded, never across I/O. Concurrent operations on the *same*
+// slot need external coordination (the engine's per-bucket latches) — the
+// store does not order them.
 type FileStore struct {
 	f        Medium
 	slotSize int
 	hint     int          // capacity hint from the header; 0 = unknown
 	slots    atomic.Int32 // slots present in the file (allocated + freed)
-	mu       sync.Mutex   // guards free and live
-	free     []int32
+	mu       sync.Mutex   // guards state, free and live; never held across I/O
+	state    []slotState  // per slot, indexed by address
+	free     []int32      // the free slots; Alloc takes the last
 	live     int
+	frames   sync.Pool // *[]byte slot frames
 	ctr      counterSet
 	// fmtv is the page encoding version writes use (reads accept either);
 	// 0 means format.Default. Set before the store is shared.
 	fmtv format.Version
 }
+
+// slotState is what a FileStore knows about a slot without reading it.
+type slotState uint8
+
+const (
+	stateFree slotState = iota
+	stateLive
+	stateDamaged
+)
+
+// emptyBucket is the page Alloc writes into a fresh slot; never mutated.
+var emptyBucket = bucket.New(0)
 
 const (
 	fileMagic      = 0x54484653 // "THFS"
@@ -120,8 +147,10 @@ func OpenFile(path string) (*FileStore, error) {
 	return s, nil
 }
 
-// OpenMedium opens the bucket file a medium holds, rebuilding the free
-// list by scanning slot headers.
+// OpenMedium opens the bucket file a medium holds, rebuilding the slot
+// states and the free list by scanning slot headers. A slot whose flag
+// byte is neither live nor free is damaged: it is not reused until
+// ClearSlot releases it.
 func OpenMedium(m Medium) (*FileStore, error) {
 	var hdr [fileHeaderSize]byte
 	if _, err := m.ReadAt(hdr[:], 0); err != nil {
@@ -145,18 +174,24 @@ func OpenMedium(m Medium) (*FileStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.slots.Store(int32((size - fileHeaderSize) / int64(s.slotSize)))
-	for k := int32(0); k < s.slots.Load(); k++ {
+	n := int32((size - fileHeaderSize) / int64(s.slotSize))
+	s.state = make([]slotState, n)
+	for k := int32(0); k < n; k++ {
 		var sh [slotHeaderSize]byte
 		if _, err := m.ReadAt(sh[:], s.offset(k)); err != nil {
 			return nil, fmt.Errorf("store: scanning slot %d: %w", k, err)
 		}
-		if sh[0] == slotLive {
+		switch sh[0] {
+		case slotLive:
+			s.state[k] = stateLive
 			s.live++
-		} else {
+		case slotFree:
 			s.free = append(s.free, k)
+		default:
+			s.state[k] = stateDamaged
 		}
 	}
+	s.slots.Store(n)
 	return s, nil
 }
 
@@ -206,51 +241,106 @@ func (s *FileStore) SetCapacityHint(b int) error {
 	return nil
 }
 
-func (s *FileStore) readSlot(addr int32) (flags byte, payload []byte, err error) {
+// frame returns a pooled slot-sized buffer; give it back to s.frames once
+// nothing aliases it.
+func (s *FileStore) frame() *[]byte {
+	if fp, ok := s.frames.Get().(*[]byte); ok {
+		return fp
+	}
+	buf := make([]byte, s.slotSize)
+	return &buf
+}
+
+// readFrame reads slot addr into frame with one positioned read and
+// returns its verified payload, which aliases frame.
+func (s *FileStore) readFrame(addr int32, frame []byte) ([]byte, error) {
 	if n := s.slots.Load(); addr < 0 || addr >= n {
-		return 0, nil, fmt.Errorf("%w: slot %d of %d", ErrNotAllocated, addr, n)
+		return nil, fmt.Errorf("%w: slot %d of %d", ErrNotAllocated, addr, n)
 	}
-	buf := make([]byte, s.slotSize)
-	if _, err := s.f.ReadAt(buf, s.offset(addr)); err != nil {
-		return 0, nil, fmt.Errorf("store: slot %d: %w", addr, err)
+	if _, err := s.f.ReadAt(frame, s.offset(addr)); err != nil {
+		return nil, fmt.Errorf("store: slot %d: %w", addr, err)
 	}
-	flags = buf[0]
+	flags := frame[0]
 	if flags != slotLive && flags != slotFree {
-		return 0, nil, &CorruptError{Addr: addr, Reason: fmt.Sprintf("invalid slot flags 0x%02x", flags)}
+		return nil, &CorruptError{Addr: addr, Reason: fmt.Sprintf("invalid slot flags 0x%02x", flags)}
 	}
-	n := int(binary.LittleEndian.Uint32(buf[1:]))
+	n := int(binary.LittleEndian.Uint32(frame[1:]))
 	if n > s.slotSize-slotHeaderSize {
-		return 0, nil, &CorruptError{Addr: addr, Reason: fmt.Sprintf("corrupt length %d", n)}
+		return nil, &CorruptError{Addr: addr, Reason: fmt.Sprintf("corrupt length %d", n)}
 	}
-	sum := binary.LittleEndian.Uint32(buf[5:])
-	payload = buf[slotHeaderSize : slotHeaderSize+n]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return 0, nil, &CorruptError{Addr: addr, Reason: "checksum mismatch"}
-	}
-	return flags, payload, nil
-}
-
-func (s *FileStore) writeSlot(addr int32, flags byte, payload []byte) error {
-	if len(payload) > s.slotSize-slotHeaderSize {
-		return fmt.Errorf("store: bucket of %d bytes exceeds slot payload %d", len(payload), s.slotSize-slotHeaderSize)
-	}
-	buf := make([]byte, s.slotSize)
-	buf[0] = flags
-	binary.LittleEndian.PutUint32(buf[1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[5:], crc32.ChecksumIEEE(payload))
-	copy(buf[slotHeaderSize:], payload)
-	_, err := s.f.WriteAt(buf, s.offset(addr))
-	return err
-}
-
-// Read implements Store.
-func (s *FileStore) Read(addr int32) (*bucket.Bucket, error) {
-	flags, payload, err := s.readSlot(addr)
-	if err != nil {
-		return nil, err
+	payload := frame[slotHeaderSize : slotHeaderSize+n]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[5:]) {
+		return nil, &CorruptError{Addr: addr, Reason: "checksum mismatch"}
 	}
 	if flags != slotLive {
 		return nil, fmt.Errorf("%w: read of freed slot %d", ErrNotAllocated, addr)
+	}
+	return payload, nil
+}
+
+// writeFrame writes slot addr with one positioned write: b's page (none
+// when b is nil) is encoded at version v straight into a pooled frame
+// after the header, the header gets the flags, length and checksum, and
+// the tail past the page is zeroed so no stale bytes reach the slot. It
+// returns the page length.
+func (s *FileStore) writeFrame(addr int32, flags byte, b *bucket.Bucket, v format.Version) (int, error) {
+	fp := s.frame()
+	defer s.frames.Put(fp)
+	frame := *fp
+	page := frame[:slotHeaderSize]
+	if b != nil {
+		page = b.AppendFormat(page, v)
+	}
+	n := len(page) - slotHeaderSize
+	if len(page) > len(frame) {
+		return n, fmt.Errorf("store: bucket of %d bytes exceeds slot payload %d", n, len(frame)-slotHeaderSize)
+	}
+	frame[0] = flags
+	binary.LittleEndian.PutUint32(frame[1:], uint32(n))
+	binary.LittleEndian.PutUint32(frame[5:], crc32.ChecksumIEEE(frame[slotHeaderSize:slotHeaderSize+n]))
+	clear(frame[slotHeaderSize+n:])
+	_, err := s.f.WriteAt(frame, s.offset(addr))
+	return n, err
+}
+
+// checkLive returns nil when addr is live, and otherwise the error a
+// write or free of it (op) fails with.
+func (s *FileStore) checkLive(addr int32, op string) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if addr < 0 || int(addr) >= len(s.state) {
+		return fmt.Errorf("%w: %s of slot %d of %d", ErrNotAllocated, op, addr, len(s.state))
+	}
+	switch s.state[addr] {
+	case stateLive:
+		return nil
+	case stateDamaged:
+		return &CorruptError{Addr: addr, Reason: op + " refused: slot is damaged until cleared"}
+	}
+	return fmt.Errorf("%w: %s of freed slot %d", ErrNotAllocated, op, addr)
+}
+
+// damage marks live slot addr damaged once a Read found it corrupt.
+func (s *FileStore) damage(addr int32) {
+	s.mu.Lock()
+	if int(addr) < len(s.state) && s.state[addr] == stateLive {
+		s.state[addr] = stateDamaged
+		s.live--
+	}
+	s.mu.Unlock()
+}
+
+// Read implements Store: one positioned read into a pooled frame, then
+// the decode, which copies every byte out of the frame.
+func (s *FileStore) Read(addr int32) (*bucket.Bucket, error) {
+	fp := s.frame()
+	defer s.frames.Put(fp)
+	payload, err := s.readFrame(addr, *fp)
+	if err != nil {
+		if errors.Is(err, ErrCorrupt) {
+			s.damage(addr)
+		}
+		return nil, err
 	}
 	s.ctr.reads.Add(1)
 	b, _, err := bucket.DecodeBinary(payload)
@@ -261,70 +351,78 @@ func (s *FileStore) Read(addr int32) (*bucket.Bucket, error) {
 		if errors.As(err, &uve) {
 			return nil, err
 		}
+		s.damage(addr)
 		return nil, &CorruptError{Addr: addr, Reason: fmt.Sprintf("payload decode: %v", err)}
 	}
 	format.RecordPageRead(b.DecodedFormat())
 	return b, nil
 }
 
-// Write implements Store.
+// Write implements Store: the in-memory state check, then one positioned
+// write. A slot the medium damaged that no Read has seen since is
+// overwritten.
 func (s *FileStore) Write(addr int32, b *bucket.Bucket) error {
-	flags, _, err := s.readSlot(addr)
-	if err != nil {
+	if err := s.checkLive(addr, "write"); err != nil {
 		return err
-	}
-	if flags != slotLive {
-		return fmt.Errorf("%w: write of freed slot %d", ErrNotAllocated, addr)
 	}
 	s.ctr.writes.Add(1)
 	v := s.Format()
-	payload := b.AppendFormat(nil, v)
-	format.RecordPageWrite(v, len(payload), b.Bytes())
-	return s.writeSlot(addr, slotLive, payload)
-}
-
-// Alloc implements Store.
-func (s *FileStore) Alloc() (int32, error) {
-	s.ctr.allocs.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var addr int32
-	n := len(s.free)
-	if n > 0 {
-		addr = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		addr = s.slots.Load()
-		s.slots.Store(addr + 1)
-	}
-	if err := s.writeSlot(addr, slotLive, bucket.New(0).AppendFormat(nil, s.Format())); err != nil {
-		// Give the address back, or it is neither live nor free until
-		// the next open.
-		if n > 0 {
-			s.free = append(s.free, addr)
-		} else {
-			s.slots.Store(addr)
-		}
-		return 0, err
-	}
-	s.live++
-	return addr, nil
-}
-
-// Free implements Store.
-func (s *FileStore) Free(addr int32) error {
-	flags, _, err := s.readSlot(addr)
+	n, err := s.writeFrame(addr, slotLive, b, v)
 	if err != nil {
 		return err
 	}
-	if flags != slotLive {
-		return fmt.Errorf("%w: double free of slot %d", ErrNotAllocated, addr)
+	format.RecordPageWrite(v, n, b.Bytes())
+	return nil
+}
+
+// Alloc implements Store. The address is taken under the lock and written
+// outside it.
+func (s *FileStore) Alloc() (int32, error) {
+	s.ctr.allocs.Add(1)
+	s.mu.Lock()
+	var addr int32
+	if n := len(s.free); n > 0 {
+		addr = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.state[addr] = stateLive
+	} else {
+		addr = int32(len(s.state))
+		s.state = append(s.state, stateLive)
+		s.slots.Store(addr + 1)
 	}
-	if err := s.writeSlot(addr, slotFree, nil); err != nil {
+	s.live++
+	s.mu.Unlock()
+	if _, err := s.writeFrame(addr, slotLive, emptyBucket, s.Format()); err != nil {
+		// Give the address back, or it is neither live nor free until the
+		// next open: the last slot by rolling the count back, any other
+		// to the free list.
+		s.mu.Lock()
+		s.live--
+		if int(addr) == len(s.state)-1 {
+			s.slots.Store(addr)
+			s.state = s.state[:addr]
+		} else {
+			s.state[addr] = stateFree
+			s.free = append(s.free, addr)
+		}
+		s.mu.Unlock()
+		return 0, err
+	}
+	return addr, nil
+}
+
+// Free implements Store: the in-memory state check, then one positioned
+// write.
+func (s *FileStore) Free(addr int32) error {
+	if err := s.checkLive(addr, "free"); err != nil {
+		return err
+	}
+	if _, err := s.writeFrame(addr, slotFree, nil, 0); err != nil {
 		return err
 	}
 	s.ctr.frees.Add(1)
 	s.mu.Lock()
+	s.state[addr] = stateFree
 	s.live--
 	s.free = append(s.free, addr)
 	s.mu.Unlock()
@@ -344,36 +442,47 @@ func (s *FileStore) ReadRaw(addr int32) ([]byte, error) {
 	return buf, nil
 }
 
-// inFree reports whether addr is already on the free list.
-func (s *FileStore) inFree(addr int32) bool {
-	for _, a := range s.free {
-		if a == addr {
-			return true
-		}
-	}
-	return false
-}
-
 // ClearSlot implements SlotClearer: the slot is marked free regardless of
-// its content. Free refuses a slot that no longer reads back; this is the
-// release path for quarantined slots (their bytes already preserved).
+// its content or state. Write and Free refuse a damaged slot; this is the
+// release path for quarantined slots (their bytes already preserved) and
+// for referenced slots that vanished.
 func (s *FileStore) ClearSlot(addr int32) error {
 	if n := s.slots.Load(); addr < 0 || addr >= n {
 		return fmt.Errorf("%w: clear of slot %d of %d", ErrNotAllocated, addr, n)
 	}
-	if err := s.writeSlot(addr, slotFree, nil); err != nil {
+	if _, err := s.writeFrame(addr, slotFree, nil, 0); err != nil {
 		return err
 	}
-	// Bookkeeping follows the in-memory classification (live iff not on
-	// the free list), which OpenFile derived from the flags and which
-	// stays self-consistent even when the on-disk flags were damaged.
 	s.mu.Lock()
-	if !s.inFree(addr) {
+	switch s.state[addr] {
+	case stateLive:
 		s.live--
 		s.free = append(s.free, addr)
+	case stateDamaged:
+		s.free = append(s.free, addr)
 	}
+	s.state[addr] = stateFree
 	s.mu.Unlock()
 	return nil
+}
+
+// ClaimReferenced checks the slots a file's metadata references against
+// the scan at open: each slot in addrs that the scan found free becomes
+// damaged, so Alloc cannot hand it out while the trie still points at it
+// (Scrub releases it). Addresses past the end of the file are left alone.
+func (s *FileStore) ClaimReferenced(addrs []int32) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	marked := false
+	for _, a := range addrs {
+		if a >= 0 && int(a) < len(s.state) && s.state[a] == stateFree {
+			s.state[a] = stateDamaged
+			marked = true
+		}
+	}
+	if marked {
+		s.free = slices.DeleteFunc(s.free, func(a int32) bool { return s.state[a] != stateFree })
+	}
 }
 
 // CorruptSlot implements Corrupter: it damages addr in place, simulating
@@ -386,7 +495,9 @@ func (s *FileStore) CorruptSlot(addr int32, kind CorruptKind, seed int64) error 
 	if n := s.slots.Load(); addr < 0 || addr >= n {
 		return fmt.Errorf("%w: corrupt of slot %d of %d", ErrNotAllocated, addr, n)
 	}
-	buf := make([]byte, s.slotSize)
+	fp := s.frame()
+	defer s.frames.Put(fp)
+	buf := *fp
 	if _, err := s.f.ReadAt(buf, s.offset(addr)); err != nil {
 		return fmt.Errorf("store: slot %d: %w", addr, err)
 	}

@@ -667,6 +667,7 @@ func OpenAtWith(dir string, opts Options) (*File, error) {
 	f := &File{dir: dir, hook: hook}
 	c, cerr := core.Open(meta, st)
 	if cerr == nil {
+		fs.ClaimReferenced(c.BucketAddrs())
 		c.SetObsHook(hook)
 		f.alpha = c.Config().Alphabet
 		f.opts = Options{
@@ -711,6 +712,7 @@ func OpenAtWith(dir string, opts Options) (*File, error) {
 		_ = fs.Close()
 		return nil, fmt.Errorf("triehash: %s is a multilevel file; the concurrent engine is a single-level feature", dir)
 	}
+	fs.ClaimReferenced(m.BucketAddrs())
 	m.SetObsHook(hook)
 	f.multi, f.eng = m, m
 	f.alpha = m.Alphabet()

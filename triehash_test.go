@@ -130,10 +130,14 @@ func TestMultilevelCompactTHCL(t *testing.T) {
 	}
 }
 
+// TestPersistentRoundTrip reopens each engine's file and grows it past
+// more splits: a reopened file must split as it was created, or a
+// multilevel THCL file splitting as basic TH breaks its leaf runs.
 func TestPersistentRoundTrip(t *testing.T) {
 	for _, opts := range []Options{
 		{BucketCapacity: 8},
 		{BucketCapacity: 8, Variant: TH, PageCapacity: 12},
+		{BucketCapacity: 4, PageCapacity: 16}, // the default variant, THCL
 	} {
 		opts := opts
 		t.Run(fmt.Sprintf("pages=%d", opts.PageCapacity), func(t *testing.T) {
@@ -173,9 +177,25 @@ func TestPersistentRoundTrip(t *testing.T) {
 					t.Fatalf("reopened Get(%q) = %q, %v", k, v, err)
 				}
 			}
-			// Still writable after reopen.
-			if err := g.Put("zz-after-reopen", []byte("1")); err != nil {
+			// Still writable after reopen, through enough splits to
+			// exercise the reopened split mode.
+			for _, k := range workload.Uniform(13, 200, 3, 9) {
+				if err := g.Put("zz"+k, []byte("1")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n, prev := 0, ""
+			if err := g.Range("", "", func(k string, _ []byte) bool {
+				if n > 0 && k <= prev {
+					t.Fatalf("Range yields %q after %q", k, prev)
+				}
+				n, prev = n+1, k
+				return true
+			}); err != nil {
 				t.Fatal(err)
+			}
+			if n != g.Len() {
+				t.Fatalf("Range yields %d records, Len is %d", n, g.Len())
 			}
 			if err := g.CheckInvariants(); err != nil {
 				t.Fatal(err)
