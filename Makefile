@@ -32,7 +32,7 @@ lint-graph:
 test:
 	$(GO) test ./...
 	$(GO) test -race ./internal/concurrent ./internal/store ./internal/wal
-	$(GO) test -race -run 'TestConcurrent' .
+	$(GO) test -race -run 'TestConcurrent|TestGetBatchMatchesGet|TestPutBatchMatchesPut' .
 
 race:
 	$(GO) test -race ./...

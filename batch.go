@@ -26,7 +26,8 @@ func (f *File) GetBatch(keys []string) (vals [][]byte, errs []error) {
 // appears twice the later value is the one stored). errs aligns with keys;
 // the batch is timed as one OpPutBatch sample when an observer is
 // attached. On a concurrent file the batch partitions by bucket and the
-// bucket work — split I/O included — fans out across CPUs. With
+// bucket writes fan out across CPUs; a record that overflows its bucket
+// then splits it as a single Put would. With
 // Options.WAL the whole batch rides one group-commit rendezvous: its
 // accepted records are durable in the log when the call returns.
 func (f *File) PutBatch(keys []string, values [][]byte) []error {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"triehash/internal/bucket"
@@ -18,19 +19,43 @@ func bucketWith(key string) *bucket.Bucket {
 	return b
 }
 
+// batchEngine names one file configuration the batch differentials run
+// on; disk files are created with CreateAt in a fresh test directory.
+type batchEngine struct {
+	name string
+	opts Options
+	disk bool
+}
+
+func (e batchEngine) create(t *testing.T) *File {
+	t.Helper()
+	var f *File
+	var err error
+	if e.disk {
+		f, err = CreateAt(t.TempDir(), e.opts)
+	} else {
+		f, err = Create(e.opts)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // TestGetBatchMatchesGet checks the public batch lookup against its
-// sequential expansion on both engines (the single-level engine groups
-// keys by bucket; the multilevel engine falls back to a Get loop).
+// sequential expansion on every engine: the single-level engine groups
+// keys by bucket, the concurrent engine fans the groups out under their
+// bucket latches (in memory and on disk), and the multilevel engine falls
+// back to a Get loop.
 func TestGetBatchMatchesGet(t *testing.T) {
-	for name, opts := range map[string]Options{
-		"single": {BucketCapacity: 8, CacheFrames: 32},
-		"multi":  {BucketCapacity: 8, PageCapacity: 64},
+	for _, e := range []batchEngine{
+		{name: "single", opts: Options{BucketCapacity: 8, CacheFrames: 32}},
+		{name: "multi", opts: Options{BucketCapacity: 8, PageCapacity: 64}},
+		{name: "concurrent", opts: Options{BucketCapacity: 8, Concurrent: true}},
+		{name: "concurrent-disk", opts: Options{BucketCapacity: 8, Concurrent: true, SlotBytes: 512}, disk: true},
 	} {
-		t.Run(name, func(t *testing.T) {
-			f, err := Create(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+		t.Run(e.name, func(t *testing.T) {
+			f := e.create(t)
 			defer f.Close()
 			ks := workload.Uniform(11, 3000, 3, 10)
 			for i, k := range ks {
@@ -58,24 +83,22 @@ func TestGetBatchMatchesGet(t *testing.T) {
 	}
 }
 
-// TestPutBatchMatchesPut loads the same workload (with duplicate keys)
-// through PutBatch and through sequential Puts and compares the files.
+// TestPutBatchMatchesPut loads the same workload through two PutBatch
+// calls and through sequential Puts on a serial in-memory file and
+// compares the files. The second batch lands on populated buckets and
+// names some keys twice (later values win). The concurrent engine splits
+// every record its fast wave cannot fit through putSlow; on disk,
+// 512-byte slots, 14-record buckets and values of 0–60 bytes fill pages
+// by bytes before by count, so the byte gate as well as the record count
+// sends records there.
 func TestPutBatchMatchesPut(t *testing.T) {
 	ks := workload.Uniform(17, 4000, 3, 8)
-	ks = append(ks, ks[:200]...) // duplicates: later values win
+	ks = append(ks, ks[2000:2200]...) // duplicates within the second batch
+	rng := rand.New(rand.NewSource(17))
 	vals := make([][]byte, len(ks))
 	for i := range vals {
-		vals[i] = []byte(fmt.Sprintf("v%d", i))
-	}
-	batch, err := Create(Options{BucketCapacity: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer batch.Close()
-	for i, err := range batch.PutBatch(ks, vals) {
-		if err != nil {
-			t.Fatalf("PutBatch[%d](%q): %v", i, ks[i], err)
-		}
+		v := fmt.Sprintf("v%d:%s", i, strings.Repeat("x", 60))
+		vals[i] = []byte(v[:rng.Intn(61)])
 	}
 	seq, err := Create(Options{BucketCapacity: 10})
 	if err != nil {
@@ -87,17 +110,35 @@ func TestPutBatchMatchesPut(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if batch.Len() != seq.Len() {
-		t.Fatalf("batch file Len = %d, sequential %d", batch.Len(), seq.Len())
-	}
-	var got, want []string
-	batch.Range("", "", func(k string, v []byte) bool { got = append(got, k+"="+string(v)); return true })
+	var want []string
 	seq.Range("", "", func(k string, v []byte) bool { want = append(want, k+"="+string(v)); return true })
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("batch and sequential files diverge (%d vs %d records)", len(got), len(want))
-	}
-	if err := batch.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for _, e := range []batchEngine{
+		{name: "serial", opts: Options{BucketCapacity: 10}},
+		{name: "concurrent", opts: Options{BucketCapacity: 10, Concurrent: true}},
+		{name: "concurrent-disk", opts: Options{BucketCapacity: 14, Concurrent: true, SlotBytes: 512}, disk: true},
+	} {
+		t.Run(e.name, func(t *testing.T) {
+			batch := e.create(t)
+			defer batch.Close()
+			for _, r := range [][2]int{{0, 2000}, {2000, len(ks)}} {
+				for i, err := range batch.PutBatch(ks[r[0]:r[1]], vals[r[0]:r[1]]) {
+					if err != nil {
+						t.Fatalf("PutBatch[%d](%q): %v", r[0]+i, ks[r[0]+i], err)
+					}
+				}
+			}
+			if batch.Len() != seq.Len() {
+				t.Fatalf("batch file Len = %d, sequential %d", batch.Len(), seq.Len())
+			}
+			var got []string
+			batch.Range("", "", func(k string, v []byte) bool { got = append(got, k+"="+string(v)); return true })
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("batch and sequential files diverge (%d vs %d records)", len(got), len(want))
+			}
+			if err := batch.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

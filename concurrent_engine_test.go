@@ -204,15 +204,15 @@ func TestConcurrentParallelStress(t *testing.T) {
 }
 
 // TestConcurrentBatchSplitDifferential drives prefix-partitioned PutBatch
-// rounds — splits in several disjoint subtrees per round, through the
-// slow wave's prepareSplit-under-latch / finishSplit-under-flip-lock
-// path — interleaved with single puts and deletes, through the
-// concurrent engine and the oracle, single-threaded. The comparison is
-// content-level (records, key count, invariants, bucket and cell
-// counts), not serialized metadata: a batch wave splits its buckets in
-// ascending address order while the oracle's loop splits in key-arrival
-// order, so new-bucket addresses legitimately differ while everything
-// observable agrees.
+// rounds — splits in several disjoint subtrees per round, each
+// overflowing record running putSlow's prepareSplit-under-latch /
+// finishSplit-under-flip-lock path after the fast wave — interleaved
+// with single puts and deletes, through the concurrent engine and the
+// oracle, single-threaded. The comparison is content-level (records, key
+// count, invariants, bucket and cell counts), not serialized metadata:
+// the batch applies every record that fits before its first split while
+// the oracle's loop splits in key-arrival order, so new-bucket addresses
+// legitimately differ while everything observable agrees.
 func TestConcurrentBatchSplitDifferential(t *testing.T) {
 	opts := Options{BucketCapacity: 8}
 	seq, err := Create(opts)
@@ -295,11 +295,11 @@ func TestConcurrentBatchSplitDifferential(t *testing.T) {
 // stripes exist for. Each worker owns a distinct three-digit prefix (its
 // own stripe key, up to hash collisions), inserts enough fresh keys to
 // split its subtree over and over — half through Put, half through
-// PutBatch's prepared-split wave — while a scanner goroutine runs Range
-// end to end, racing the flip-lock readers against concurrent
-// publications: a scan must never observe a half-installed split (a
-// missing or duplicated record would surface as a count mismatch or an
-// invariant violation).
+// PutBatch, whose overflowing records split through the same putSlow —
+// while a scanner goroutine runs Range end to end, racing the flip-lock
+// readers against concurrent publications: a scan must never observe a
+// half-installed split (a missing or duplicated record would surface as
+// a count mismatch or an invariant violation).
 func TestConcurrentDisjointSubtreeSplits(t *testing.T) {
 	f, err := Create(Options{BucketCapacity: 8, Concurrent: true})
 	if err != nil {
@@ -361,7 +361,7 @@ func TestConcurrentDisjointSubtreeSplits(t *testing.T) {
 					return
 				}
 			}
-			// ...and half through PutBatch (the prepared-split wave).
+			// ...and half through PutBatch (the fast wave, then putSlow).
 			bk := make([]string, perW/2)
 			bv := make([][]byte, perW/2)
 			for i := range bk {

@@ -398,7 +398,7 @@ func declReceiver(n *funcNode) types.Object {
 }
 
 // declBareName is the nearest declaration's bare name — the site key the
-// by-name sanctions (LockPair, lockSubtrees, acquireSubtreesTimed) use.
+// by-name sanctions (LockPair, Acquire, lockSubtrees) use.
 func declBareName(n *funcNode) string {
 	for p := n; p != nil; p = p.parent {
 		if p.decl != nil {
@@ -685,8 +685,8 @@ func (s *flowScan) scanStmt(st ast.Stmt, held heldSet) {
 }
 
 // mergeLoop folds a loop body's lock acquisitions back into the outer
-// held set: a loop that locks without unlocking (acquireSubtreesTimed
-// ranging over its ascending stripe set) exits holding the locks, while a
+// held set: a loop that locks without unlocking (lockSubtrees ranging
+// over its ascending stripe set) exits holding the locks, while a
 // per-iteration lock/unlock pair is balanced by the body's end and adds
 // nothing. Releases inside the body stay conservative (the outer set
 // keeps the lock): the loop may run zero iterations.
@@ -1159,7 +1159,7 @@ func isStripesType(t types.Type) bool {
 // multi-stripe acquisition sites single-stripe Lock calls are confined to.
 func sanctionedStripeSite(fn string) bool {
 	switch fn {
-	case "Acquire", "lockSubtrees", "acquireSubtreesTimed":
+	case "Acquire", "lockSubtrees":
 		return true
 	}
 	return false

@@ -263,7 +263,7 @@ func runLockGraph(mp *ModulePass) {
 			// iteration (map order is not ascending).
 			if l.class == classStripe {
 				if ev.via == "Lock" && !sanctionedStripeSite(ev.site) {
-					report(l.pos, fmt.Sprintf("subtree stripe %s locked directly in %s: single-stripe locking is confined to the ascending acquisition sites (Acquire, lockSubtrees, acquireSubtreesTimed), which sort and dedup their key set", l.disp, ev.site))
+					report(l.pos, fmt.Sprintf("subtree stripe %s locked directly in %s: single-stripe locking is confined to the ascending acquisition sites (Acquire, lockSubtrees), which sort and dedup their key set", l.disp, ev.site))
 				}
 				if ev.mapDepth > 0 {
 					report(l.pos, fmt.Sprintf("subtree stripe %s acquired inside iteration over a map: map order is not ascending; collect the stripe keys, sort them, then lock", l.disp))

@@ -340,7 +340,9 @@ func DecodeBinary(buf []byte) (*Bucket, int, error) {
 	if n > (len(buf)-off)/8 {
 		return nil, 0, fmt.Errorf("bucket: decode: record count %d exceeds page", n)
 	}
-	b.recs = make([]Record, 0, n)
+	// One spare slot: a bucket read to be written back usually gains a
+	// record, and Put's append then needs no regrowth.
+	b.recs = make([]Record, 0, n+1)
 	prev := ""
 	for i := 0; i < n; i++ {
 		if len(buf) < off+4 {
@@ -450,7 +452,7 @@ func decodeV2(buf []byte) (*Bucket, int, error) {
 	var keys strings.Builder
 	keys.Grow(keyBytes)
 	vals := make([]byte, 0, valBytes)
-	b.recs = make([]Record, cnt)
+	b.recs = make([]Record, cnt, cnt+1) // one spare slot, as in the v1 decoder
 	prev := ""
 	for i := range b.recs {
 		// Pass 1 checked these lengths.

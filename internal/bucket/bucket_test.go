@@ -230,6 +230,38 @@ func TestEncodedLenZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDecodedInsertReusesSpareSlot: a bucket read from a page is most
+// often written back one record larger, so both decoders leave one spare
+// slot and the insert makes no allocation beyond the decode's own.
+func TestDecodedInsertReusesSpareSlot(t *testing.T) {
+	b := New(20)
+	b.SetBound([]byte("user:9"))
+	for i := 0; i < 19; i++ {
+		b.Put(fmt.Sprintf("user:%04d", i*7), []byte("value"))
+	}
+	const fresh = "user:0001" // absent: the keys step by 7
+	for _, v := range []format.Version{format.V1, format.V2} {
+		page := b.AppendFormat(nil, v)
+		decode := testing.AllocsPerRun(100, func() {
+			if _, _, err := DecodeBinary(page); err != nil {
+				t.Fatal(err)
+			}
+		})
+		insert := testing.AllocsPerRun(100, func() {
+			d, _, err := DecodeBinary(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Put(fresh, nil) {
+				t.Fatalf("%q already present", fresh)
+			}
+		})
+		if insert != decode {
+			t.Errorf("v%d: decode plus insert makes %v allocations, decode alone %v", v, insert, decode)
+		}
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
 	if _, _, err := DecodeBinary(nil); err == nil {
 		t.Error("nil must fail")

@@ -93,7 +93,7 @@ type ConcurrentFile struct {
 	// (store shard latches sit below engine code entirely). All
 	// authoritative-trie access runs under it: exclusively for the
 	// publication flips and merge repoints, shared for whole-trie reads
-	// (Range, batch partitioning). Holders do no blocking work beyond
+	// (Range, neighbour queries). Holders do no blocking work beyond
 	// the flip's single old-bucket write, which is what shrank the
 	// structural wait:hold ratio; they acquire no further locks (the
 	// lockorder analyzer enforces it).
@@ -826,13 +826,14 @@ func (e *ConcurrentFile) PutBatch(keys []string, values [][]byte) (errs []error)
 // names a key several times only the last occurrence is applied, so the
 // final state matches the sequential loop. The fast wave applies every
 // replacement and fitting insert with one latch and one store write per
-// bucket; overflowing inserts collect into a slow wave that locks the
-// round's subtree stripes, prepares splits of distinct buckets in
-// parallel (each under its bucket latch, through the shared prepareSplit)
-// and then publishes the trie flips sequentially under the flip lock —
-// batch splits scale across buckets instead of serializing as plain Puts.
-// sp gets the same coarse attribution as GetBatchOp; the slow wave's
-// rounds are charged to the split stage.
+// bucket, fanning the bucket groups out across workers. A record over the
+// count or byte gate cannot be applied without a split, so it is left out
+// of its bucket's write; after the fast wave the overflowing records run
+// putSlow one by one — the path a single Put's overflow takes, so the
+// engine has one split protocol — in input order, so the file's shape
+// does not depend on which worker reported them first. sp gets the same
+// coarse attribution as GetBatchOp for the fast wave, and each putSlow
+// charges its own stages.
 func (e *ConcurrentFile) PutBatchOp(keys []string, values [][]byte, sp *obs.Span) (errs []error) {
 	if len(keys) != len(values) {
 		panic(fmt.Sprintf("core: PutBatch with %d keys but %d values", len(keys), len(values)))
@@ -898,8 +899,8 @@ func (e *ConcurrentFile) PutBatchOp(keys []string, values [][]byte, sp *obs.Span
 				}
 				// Over the count or byte gate: the fast wave cannot split,
 				// so revert the optimistic put exactly (Put stores value
-				// slices by reference, so the old slice is intact) and send
-				// the record to the slow wave.
+				// slices by reference, so the old slice is intact) and
+				// leave the record to putSlow.
 				if exists {
 					b.Put(keys[i], old)
 				} else {
@@ -934,197 +935,11 @@ func (e *ConcurrentFile) PutBatchOp(keys []string, values [][]byte, sp *obs.Span
 		sp.Mark(obs.StageLatchHold)
 		pending = retry
 	}
-	if len(slow) > 0 {
-		e.putBatchSlow(keys, values, slow, errs, workers, sp)
+	sort.Ints(slow)
+	for _, i := range slow {
+		_, errs[i] = e.putSlow(keys[i], values[i], sp)
 	}
 	return errs
-}
-
-// putBatchSlow resolves the batch's overflowing inserts: each round
-// partitions the remaining keys by the authoritative trie (under the flip
-// lock, collecting each bucket's subtree path), locks the round's stripe
-// set in one ascending acquisition, fans the groups out to workers that
-// fill their bucket and prepare at most one split each (store work only,
-// bucket latch held, mapping re-validated under it), then — after the
-// barrier — publishes the trie flips sequentially under the flip lock and
-// releases the held latches and stripes. Keys left over by a split, or
-// moved by a concurrent structural change, re-partition in the next
-// round. sp (nil when untraced) charges the whole slow wave to the
-// split stage; workers record their latches, and the round its stripes,
-// through LatchTimers.
-func (e *ConcurrentFile) putBatchSlow(keys []string, values [][]byte, slow []int, errs []error, workers int, sp *obs.Span) {
-	o := sp.Observer()
-	e.world.RLock()
-	defer e.world.RUnlock()
-	defer sp.Mark(obs.StageSplit)
-	pending := slow
-	for len(pending) > 0 {
-		byAddr := make(map[int32][]int, len(pending))
-		stripeOf := make(map[int32]int, len(pending))
-		var addrs []int32
-		e.trieMu.RLock()
-		for _, i := range pending {
-			res := e.inner.trie.Search(keys[i])
-			if res.Leaf.IsNil() {
-				errs[i] = fmt.Errorf("core: concurrent engine: key %q maps to a nil leaf (THCL files have none)", keys[i])
-				continue
-			}
-			a := res.Leaf.Addr()
-			if _, ok := byAddr[a]; !ok {
-				addrs = append(addrs, a)
-				stripeOf[a] = e.stripes.KeyOf(res.Path)
-			}
-			byAddr[a] = append(byAddr[a], i)
-		}
-		e.trieMu.RUnlock()
-		sort.Slice(addrs, func(x, y int) bool { return addrs[x] < addrs[y] })
-		ks := make([]int, 0, len(addrs))
-		for _, a := range addrs {
-			ks = append(ks, stripeOf[a])
-		}
-		unlockStripes := e.acquireSubtreesTimed(o, ks)
-		recs := make([]*preparedSplit, len(addrs))
-		appliedBy := make([][]int, len(addrs))
-		addedBy := make([]int64, len(addrs))
-		unlocks := make([]func(), len(addrs))
-		leftovers := make([][]int, len(addrs))
-		movedBy := make([][]int, len(addrs))
-		concurrent.FanOut(len(addrs), workers, func(gi int) {
-			addr := addrs[gi]
-			lt := o.StartLatch(addr)
-			mu := e.latches.Latch(addr)
-			mu.Lock()
-			lt.Acquired()
-			// Re-validate under the latch: the partition ran before the
-			// stripes were held, so a concurrent split may have moved
-			// keys off this bucket in between; they retry next round.
-			idxs := make([]int, 0, len(byAddr[addr]))
-			var moved []int
-			for _, i := range byAddr[addr] {
-				if p := e.arena.Search(keys[i]); p.IsNil() || p.Addr() != addr {
-					moved = append(moved, i)
-					continue
-				}
-				idxs = append(idxs, i)
-			}
-			movedBy[gi] = moved
-			if len(idxs) == 0 {
-				mu.Unlock()
-				lt.Release()
-				return
-			}
-			rec, applied, leftover, n := e.applySlowGroup(addr, keys, values, idxs, errs)
-			recs[gi], appliedBy[gi], leftovers[gi], addedBy[gi] = rec, applied, leftover, n
-			if rec != nil {
-				// Keep the latch until the trie flip publishes the split:
-				// every key this bucket covers still routes here, and a
-				// reader must not see the shrunk image before the flip.
-				unlocks[gi] = func() { mu.Unlock(); lt.Release() }
-				return
-			}
-			mu.Unlock()
-			lt.Release()
-		})
-		var added int64
-		for gi := range addrs {
-			rec := recs[gi]
-			if rec == nil {
-				added += addedBy[gi]
-				continue
-			}
-			if err := e.publishSplit(rec, sp); err != nil {
-				for _, i := range appliedBy[gi] {
-					errs[i] = err
-				}
-			} else {
-				added += addedBy[gi]
-			}
-			unlocks[gi]()
-		}
-		unlockStripes()
-		e.nkeys.Add(added)
-		pending = pending[:0]
-		for _, mv := range movedBy {
-			pending = append(pending, mv...)
-		}
-		for _, lo := range leftovers {
-			pending = append(pending, lo...)
-		}
-	}
-}
-
-// acquireSubtreesTimed locks the given stripe set (deduplicated,
-// ascending) recording each stripe's wait and hold in the contention
-// table through LatchTimers — the batch paths' parallel-safe counterpart
-// of lockSubtrees.
-func (e *ConcurrentFile) acquireSubtreesTimed(o *obs.Observer, ks []int) func() {
-	ord := concurrent.SortKeys(ks)
-	lts := make([]obs.LatchTimer, len(ord))
-	for i, k := range ord {
-		lts[i] = o.StartLatch(obs.StripeAddr(k))
-		e.stripes.Lock(k)
-		lts[i].Acquired()
-	}
-	return func() {
-		for i := len(ord) - 1; i >= 0; i-- {
-			e.stripes.Unlock(ord[i])
-			lts[i].Release()
-		}
-	}
-}
-
-// applySlowGroup fills bucket addr with its group's records under the
-// bucket latch (held by the caller): replacements and fitting inserts
-// first; the insert that overflows goes in as the Capacity+1'th record
-// and the split's store phase runs immediately. Indices not reached
-// before the split are returned as leftover for the next round. The
-// returned preparedSplit is non-nil when a flip is owed; applied names
-// the indices whose records ride on it (for error attribution if the
-// publish fails).
-func (e *ConcurrentFile) applySlowGroup(addr int32, keys []string, values [][]byte, idxs []int, errs []error) (rec *preparedSplit, applied []int, leftover []int, added int64) {
-	b, err := e.inner.st.Read(addr)
-	if err != nil {
-		for _, i := range idxs {
-			errs[i] = err
-		}
-		return nil, nil, nil, 0
-	}
-	overflowed := false
-	for n, i := range idxs {
-		_, exists := b.Get(keys[i])
-		b.Put(keys[i], values[i])
-		if !exists {
-			added++
-		}
-		applied = append(applied, i)
-		if e.inner.fitsPage(b) {
-			continue
-		}
-		// The overflowing record (over the count or the byte gate) stays in
-		// as the record that triggers the split; the rest retry next round.
-		leftover = append(leftover, idxs[n+1:]...)
-		overflowed = true
-		break
-	}
-	if overflowed {
-		rec, err = e.inner.prepareSplit(addr, b)
-		if err != nil {
-			for _, i := range applied {
-				errs[i] = err
-			}
-			return nil, nil, leftover, 0
-		}
-		return rec, applied, leftover, added
-	}
-	if len(applied) > 0 {
-		if err := e.inner.st.Write(addr, b); err != nil {
-			for _, i := range applied {
-				errs[i] = err
-			}
-			return nil, nil, leftover, 0
-		}
-	}
-	return nil, applied, leftover, added
 }
 
 // SaveMeta serializes the file's metadata. The caller must quiesce

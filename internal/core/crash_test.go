@@ -76,8 +76,9 @@ type crashDriver interface {
 // operations. concurrent drives the operations through the concurrent
 // engine instead of the sequential one; batchSize > 0 additionally
 // issues the puts through PutBatch in groups of that size (deletes and
-// syncs flush the group first), so cut positions land inside the batch
-// wave's publish window — several buckets with the new twin written but
+// syncs flush the group first), so cut positions land inside a batch:
+// between the fast wave's bucket writes, and inside the splits its
+// overflowing records then run through putSlow — the new twin written,
 // the shrunk old image and trie flip still pending.
 func buildCrashRun(t *testing.T, cfg Config, seed int64, nops, syncEvery, batchSize int, concurrent bool) *crashRun {
 	t.Helper()
@@ -405,10 +406,12 @@ func TestCrashPoints(t *testing.T) {
 		// store mutation order means the same cuts, the same damage, the
 		// same recovery chain.
 		{"thcl-concurrent", Config{Capacity: 4, Mode: trie.ModeTHCL}, true, 0},
-		// The batch wave prepares several splits (new twins written,
-		// unreachable) before the sequential publish loop flips any of
-		// them, so cuts land inside the publish window with multiple
-		// pending twins at once — Recover must quarantine every one.
+		// The batch path: the fast wave writes every bucket a group fits
+		// into, then each overflowing record splits through putSlow, so
+		// cuts land between a batch's bucket writes and inside its
+		// splits. Several twins pending at once need putSlow calls in
+		// distinct stripes at the same time, which this single-threaded
+		// sweep cannot produce; TestRecoverHalfFinishedSplit plants two.
 		{"thcl-concurrent-batch", Config{Capacity: 4, Mode: trie.ModeTHCL}, true, 8},
 	}
 	kinds := []store.CorruptKind{-1, store.CorruptTear, store.CorruptFlip, store.CorruptZero}

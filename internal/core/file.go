@@ -37,8 +37,8 @@ type File struct {
 	// use nor free (a second storage failure during compensation). They
 	// hold no live data — at most duplicates of reachable records — and
 	// Recover sweeps them. abandonedMu guards the map: the concurrent
-	// engine's batch path prepares splits of distinct buckets in
-	// parallel, and two failing compensations must not race.
+	// engine's putSlow calls in distinct subtree stripes prepare splits
+	// in parallel, and two failing compensations must not race.
 	abandonedMu sync.Mutex
 	abandoned   map[int32]bool
 	// corruptSlots lists the slot addresses Recover found unreadable

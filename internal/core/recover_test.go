@@ -220,8 +220,11 @@ func TestRecoverPersistent(t *testing.T) {
 
 // TestRecoverHalfFinishedSplit simulates the one crash window splits
 // leave open: the new bucket was written but the old one was not yet
-// shrunk (the write ordering guarantees this is the only window).
-// Recovery detects the duplicate bound and drops the subset twin.
+// shrunk (the write ordering guarantees this is the only window). The
+// concurrent engine prepares splits in distinct subtree stripes in
+// parallel, so a cut can leave several such twins at once; two are
+// planted here, in two different buckets. Recovery detects each
+// duplicate bound and drops every subset twin.
 func TestRecoverHalfFinishedSplit(t *testing.T) {
 	st := store.NewMem()
 	cfg := Config{Capacity: 4, Mode: trie.ModeTHCL}
@@ -235,34 +238,39 @@ func TestRecoverHalfFinishedSplit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Fabricate the crash state: pick a full bucket, write a "new twin"
-	// holding its top records under the same bound, as a dying split
-	// would have left behind.
-	leaves := f.Trie().InorderLeaves()
-	var victim int32 = -1
-	for _, lp := range leaves {
+	// Fabricate the crash state: pick two full buckets and write a "new
+	// twin" for each, holding its top records under the same bound, as
+	// two dying splits would have left behind.
+	var victims []int32
+	for _, lp := range f.Trie().InorderLeaves() {
 		if lp.Leaf.IsNil() {
 			continue
 		}
 		if b, _ := st.Read(lp.Leaf.Addr()); b.Len() >= 3 {
-			victim = lp.Leaf.Addr()
-			break
+			victims = append(victims, lp.Leaf.Addr())
+			if len(victims) == 2 {
+				break
+			}
 		}
 	}
-	if victim < 0 {
-		t.Fatal("setup: no full bucket")
+	if len(victims) < 2 {
+		t.Fatal("setup: fewer than two full buckets")
 	}
-	vb, _ := st.Read(victim)
-	twinAddr, err := st.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin, _ := st.Read(twinAddr)
-	twin.SetBound(vb.Bound())
-	twin.Put(vb.At(vb.Len()-1).Key, vb.At(vb.Len()-1).Value)
-	twin.Put(vb.At(vb.Len()-2).Key, vb.At(vb.Len()-2).Value)
-	if err := st.Write(twinAddr, twin); err != nil {
-		t.Fatal(err)
+	var twins []int32
+	for _, victim := range victims {
+		vb, _ := st.Read(victim)
+		twinAddr, err := st.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, _ := st.Read(twinAddr)
+		twin.SetBound(vb.Bound())
+		twin.Put(vb.At(vb.Len()-1).Key, vb.At(vb.Len()-1).Value)
+		twin.Put(vb.At(vb.Len()-2).Key, vb.At(vb.Len()-2).Value)
+		if err := st.Write(twinAddr, twin); err != nil {
+			t.Fatal(err)
+		}
+		twins = append(twins, twinAddr)
 	}
 
 	g, err := Recover(cfg, st)
@@ -280,9 +288,11 @@ func TestRecoverHalfFinishedSplit(t *testing.T) {
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	// The twin was freed.
-	if _, err := st.Read(twinAddr); err == nil {
-		t.Error("the subset twin survived recovery")
+	// Both twins were freed.
+	for _, a := range twins {
+		if _, err := st.Read(a); err == nil {
+			t.Errorf("the subset twin at %d survived recovery", a)
+		}
 	}
 }
 

@@ -43,7 +43,7 @@ func (f *File) appendSplit(addr int32, b *bucket.Bucket) error {
 // new bucket allocated, filled and written, the old bucket's shrunk image
 // held in memory but not yet on disk — awaiting finishSplit. The
 // concurrent engine prepares splits under a subtree stripe plus the bucket
-// latch (distinct buckets in parallel on the batch path) and runs
+// latch (splits in distinct stripes in parallel) and runs
 // finishSplit under the trie flip lock, so whole-trie readers that exclude
 // only the flips can never observe the shrunk old bucket before the new
 // one is reachable.

@@ -105,16 +105,6 @@ func AsCorrupter(s Store) Corrupter {
 	return nil
 }
 
-// AsRawReader returns the first RawReader in s's wrapper chain, or nil.
-func AsRawReader(s Store) RawReader {
-	for ; s != nil; s = Unwrap(s) {
-		if r, ok := s.(RawReader); ok {
-			return r
-		}
-	}
-	return nil
-}
-
 // AsSlotClearer returns the first SlotClearer in s's wrapper chain, or nil.
 func AsSlotClearer(s Store) SlotClearer {
 	for ; s != nil; s = Unwrap(s) {

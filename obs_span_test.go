@@ -54,14 +54,21 @@ func TestSpanStagesSumToWholeOp(t *testing.T) {
 			if err := f.Range("", "", func(string, []byte) bool { return true }); err != nil {
 				t.Fatal(err)
 			}
-			vals := make([][]byte, 500)
+			// Half the batch replaces present keys, half inserts fresh
+			// ones, so overflowing records split under the batch's span.
+			bk := append(append([]string(nil), ks[:500]...), workload.Uniform(12, 500, 3, 12)...)
+			vals := make([][]byte, len(bk))
 			for i := range vals {
 				vals[i] = []byte("w")
 			}
-			for _, e := range f.PutBatch(ks[:500], vals) {
+			splits := o.EventCount(EvSplit)
+			for _, e := range f.PutBatch(bk, vals) {
 				if e != nil {
 					t.Fatal(e)
 				}
+			}
+			if o.EventCount(EvSplit) == splits {
+				t.Fatal("the batch split no bucket")
 			}
 			if _, errs := f.GetBatch(ks[500:1000]); errs != nil {
 				for _, e := range errs {

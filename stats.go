@@ -1,6 +1,7 @@
 package triehash
 
 import (
+	"triehash/internal/core"
 	"triehash/internal/format"
 	"triehash/internal/store"
 )
@@ -69,16 +70,7 @@ func (f *File) Stats() Stats {
 		defer f.mu.RUnlock()
 	}
 	var out Stats
-	if f.conc != nil {
-		s := f.conc.Stats()
-		out = Stats{
-			Keys: s.Keys, Buckets: s.Buckets, Load: s.Load,
-			TrieCells: s.TrieCells, TrieBytes: s.TrieBytes, NilLeaves: s.NilLeaves,
-			Depth: s.Depth, Splits: s.Splits, Redistributions: s.Redistributions,
-			Levels: 1, Pages: 1,
-			IO: fromStore(s.IO),
-		}
-	} else if f.multi != nil {
+	if f.multi != nil {
 		m := f.multi.Stats()
 		out = Stats{
 			Keys: m.Keys, Buckets: m.Buckets, Load: m.Load,
@@ -88,7 +80,12 @@ func (f *File) Stats() Stats {
 			IO: fromStore(m.IO),
 		}
 	} else {
-		s := f.single.Stats()
+		var s core.Stats
+		if f.conc != nil {
+			s = f.conc.Stats()
+		} else {
+			s = f.single.Stats()
+		}
 		out = Stats{
 			Keys: s.Keys, Buckets: s.Buckets, Load: s.Load,
 			TrieCells: s.TrieCells, TrieBytes: s.TrieBytes, NilLeaves: s.NilLeaves,
