@@ -116,6 +116,7 @@ fuzz:
 	$(GO) test -fuzz FuzzKeyCompare -fuzztime 15s ./internal/keys/
 	$(GO) test -fuzz FuzzTrieDecode -fuzztime 15s ./internal/trie/
 	$(GO) test -fuzz FuzzBucketDecodeV2 -fuzztime 15s ./internal/bucket/
+	$(GO) test -run '^$$' -fuzz FuzzSearchPageMatchesDecode -fuzztime 15s ./internal/bucket/
 	$(GO) test -fuzz FuzzTrieDecodeV2 -fuzztime 15s ./internal/trie/
 
 clean:

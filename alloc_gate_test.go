@@ -53,6 +53,38 @@ func TestOnDiskPutAllocs(t *testing.T) {
 	}
 }
 
+// TestOnDiskGetAllocs gates a warm Get on a FileStore without a buffer
+// pool: the page is searched in the pooled slot frame, and the one
+// allocation is the value copied out of it.
+func TestOnDiskGetAllocs(t *testing.T) {
+	skipUnderRace(t)
+	for _, opts := range []Options{{}, {Concurrent: true}} {
+		f, err := CreateAt(filepath.Join(t.TempDir(), "db"), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		ks := workload.Uniform(1, 5000, 8, 16)
+		val := make([]byte, 100)
+		for _, k := range ks {
+			if err := f.Put(k, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(2000, func() {
+			if _, err := f.Get(ks[(i*7919)%len(ks)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		t.Logf("Concurrent=%v: %v allocations per Get", opts.Concurrent, allocs)
+		if allocs > 1 {
+			t.Errorf("Concurrent=%v: an on-disk Get makes %v allocations, want at most 1", opts.Concurrent, allocs)
+		}
+	}
+}
+
 // skipUnderRace skips an allocation gate in a binary built with -race:
 // the race detector makes sync.Pool drop a share of the frames put back,
 // so it counts frame allocations a normal build does not make.
@@ -75,9 +107,8 @@ func raceEnabled() bool {
 }
 
 // TestMultilevelGetPoolMissAllocs gates a multilevel Get that misses the
-// buffer pool: one pooled-frame read, one decode into exact-size arenas,
-// and the decoded bucket installed in the pool without a clone — at most
-// 5 allocations.
+// buffer pool: the page is searched in a pooled slot frame and nothing is
+// installed, so the one allocation is the value copied out of the frame.
 func TestMultilevelGetPoolMissAllocs(t *testing.T) {
 	skipUnderRace(t)
 	f, err := CreateAt(filepath.Join(t.TempDir(), "db"), Options{BucketCapacity: 20, PageCapacity: 64, CacheFrames: 1})
@@ -107,7 +138,7 @@ func TestMultilevelGetPoolMissAllocs(t *testing.T) {
 		t.Fatalf("%d Gets hit the pool; the gate measures misses", hits)
 	}
 	t.Logf("%v allocations per Get", allocs)
-	if allocs > 5 {
-		t.Errorf("a multilevel Get on a pool miss makes %v allocations, want at most 5", allocs)
+	if allocs > 1 {
+		t.Errorf("a multilevel Get on a pool miss makes %v allocations, want at most 1", allocs)
 	}
 }

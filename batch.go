@@ -11,8 +11,9 @@ import (
 // by trie leaf so each qualifying bucket is accessed exactly once no
 // matter how many keys it serves. Results align with keys: errs[i] is nil
 // and vals[i] the value on success; errs[i] is ErrNotFound (or a
-// validation error) otherwise. The batch is timed as one OpGetBatch
-// sample when an observer is attached.
+// validation error) otherwise. Each value may alias the file's record, as
+// Get's does, and must not be modified. The batch is timed as one
+// OpGetBatch sample when an observer is attached.
 func (f *File) GetBatch(keys []string) (vals [][]byte, errs []error) {
 	c := call{op: obs.OpGetBatch, keys: keys}
 	if err := f.run(&c); err != nil {
@@ -29,7 +30,8 @@ func (f *File) GetBatch(keys []string) (vals [][]byte, errs []error) {
 // bucket writes fan out across CPUs; a record that overflows its bucket
 // then splits it as a single Put would. With
 // Options.WAL the whole batch rides one group-commit rendezvous: its
-// accepted records are durable in the log when the call returns.
+// accepted records are durable in the log when the call returns. The
+// file may keep the values, as Put may.
 func (f *File) PutBatch(keys []string, values [][]byte) []error {
 	if len(keys) != len(values) {
 		panic(fmt.Sprintf("triehash: PutBatch with %d keys but %d values", len(keys), len(values)))

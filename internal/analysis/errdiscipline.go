@@ -27,6 +27,7 @@ var ErrDiscipline = &Analyzer{
 var storeErrMethods = map[string]bool{
 	"Read":     true,
 	"ReadView": true,
+	"Lookup":   true,
 	"Write":    true,
 	"Sync":     true,
 	"Close":    true,
@@ -41,6 +42,7 @@ var storeErrMethods = map[string]bool{
 var codecDecoders = map[string]bool{
 	"DecodeBinary": true,
 	"DecodeBound":  true,
+	"SearchPage":   true,
 }
 
 // walErrMethods are the write-ahead-log-surface methods (Log and Device)

@@ -252,6 +252,7 @@ func maskOfHeld(held []heldInfo) uint16 {
 var storeIOMethods = map[string]bool{
 	"Read":     true,
 	"ReadView": true,
+	"Lookup":   true,
 	"Write":    true,
 	"Alloc":    true,
 	"Free":     true,

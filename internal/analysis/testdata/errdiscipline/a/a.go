@@ -12,15 +12,17 @@ type Bucket struct{ n int }
 
 type Store interface {
 	Read(addr int32) (*Bucket, error)
+	Lookup(addr int32, key string) ([]byte, bool, error)
 	Write(addr int32, b *Bucket) error
 	Sync() error
 	Close() error
 }
 
 func drop(s Store, b *Bucket) {
-	s.Read(7)     // want `error from s\.Read discarded`
-	s.Write(7, b) // want `error from s\.Write discarded`
-	s.Close()     // want `error from s\.Close discarded`
+	s.Read(7)        // want `error from s\.Read discarded`
+	s.Lookup(7, "k") // want `error from s\.Lookup discarded`
+	s.Write(7, b)    // want `error from s\.Write discarded`
+	s.Close()        // want `error from s\.Close discarded`
 }
 
 func deferred(s Store) {
@@ -103,15 +105,19 @@ func handledWAL(l *Log, d Device) error {
 	return d.Sync()
 }
 
-// DecodeBinary and DecodeBound replicate the codec surface: the matcher
-// keys on the function names, whatever package they are called from.
+// DecodeBinary, DecodeBound and SearchPage replicate the codec surface:
+// the matcher keys on the function names, whatever package they are
+// called from.
 func DecodeBinary(buf []byte) (*Bucket, int, error) { return nil, 0, nil }
 
 func DecodeBound(buf []byte) ([]byte, int, error) { return nil, 0, nil }
 
+func SearchPage(page []byte, key string) ([]byte, bool, int, error) { return nil, false, 0, nil }
+
 func dropDecode(buf []byte) {
-	DecodeBinary(buf) // want `error from DecodeBinary discarded.*detected corruption`
-	DecodeBound(buf)  // want `error from DecodeBound discarded.*detected corruption`
+	DecodeBinary(buf)    // want `error from DecodeBinary discarded.*detected corruption`
+	DecodeBound(buf)     // want `error from DecodeBound discarded.*detected corruption`
+	SearchPage(buf, "k") // want `error from SearchPage discarded.*detected corruption`
 }
 
 func handledDecode(buf []byte) error {

@@ -9,6 +9,7 @@ type Bucket struct{ n int }
 
 type Store interface {
 	Read(addr int32) (*Bucket, error)
+	Lookup(addr int32, key string) ([]byte, bool, error)
 	Write(addr int32, b *Bucket) error
 }
 
@@ -136,6 +137,29 @@ func fillUnderLatch(sh *shard, st Store, addr int32) (*Bucket, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return st.Read(addr) // want `store I/O st\.Read while shard latch sh\.mu is held`
+}
+
+// lookupUnderLatch serves a pool miss by searching the store's page while
+// the shard latch is held: a point lookup is store I/O like a fill.
+func lookupUnderLatch(sh *shard, st Store, addr int32, key string) ([]byte, bool, error) {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if _, ok := sh.byAddr[addr]; ok {
+		return nil, true, nil
+	}
+	return st.Lookup(addr, key) // want `store I/O st\.Lookup while shard latch sh\.mu is held`
+}
+
+// lookupOutsideLatch is the pool's real miss path: the shard is consulted
+// under the latch and the store searched after releasing it.
+func lookupOutsideLatch(sh *shard, st Store, addr int32, key string) ([]byte, bool, error) {
+	sh.mu.RLock()
+	_, ok := sh.byAddr[addr]
+	sh.mu.RUnlock()
+	if ok {
+		return nil, true, nil
+	}
+	return st.Lookup(addr, key)
 }
 
 // fillOutsideLatch is the pool's real discipline: consult the shard under

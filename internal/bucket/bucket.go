@@ -191,6 +191,63 @@ func (b *Bucket) Clone() *Bucket {
 	return c
 }
 
+// Snapshot returns a copy of the bucket whose values the caller's
+// buffers cannot reach. A value that is the very slice base holds is
+// shared, since base's bytes are already the snapshot owner's; every other
+// value is copied into one arena, capacity-capped as a decoded page's are.
+// base may be nil. The bound is shared too: no bucket writes its bound in
+// place (SetBound). A buffer pool installs this with its resident frame
+// as base, so a caller reusing the slice it passed to Put cannot change
+// what the pool serves, and a write-through copies only the values the
+// write changed.
+func (b *Bucket) Snapshot(base *Bucket) *Bucket {
+	n := 0
+	for i, j := 0, 0; i < len(b.recs); i++ {
+		if !b.sharesValue(i, base, &j) {
+			n += len(b.recs[i].Value)
+		}
+	}
+	vals := make([]byte, 0, n)
+	c := &Bucket{bound: b.bound, recs: append([]Record(nil), b.recs...)}
+	for i, j := 0, 0; i < len(c.recs); i++ {
+		if !b.sharesValue(i, base, &j) && len(c.recs[i].Value) > 0 {
+			a := len(vals)
+			vals = append(vals, c.recs[i].Value...)
+			c.recs[i].Value = vals[a:len(vals):len(vals)]
+		}
+	}
+	return c
+}
+
+// sharesValue reports whether record i's value is a non-empty slice base
+// holds: the same bytes, not equal ones. *j walks base's records in step
+// with ascending i.
+func (b *Bucket) sharesValue(i int, base *Bucket, j *int) bool {
+	v := b.recs[i].Value
+	if base == nil || len(v) == 0 {
+		return false
+	}
+	same := func() bool {
+		if *j == len(base.recs) {
+			return false
+		}
+		w := base.recs[*j].Value
+		return len(w) == len(v) && &w[0] == &v[0]
+	}
+	if !same() {
+		// The walk fell out of step at a record the write inserted,
+		// replaced or deleted: realign it by key.
+		for *j < len(base.recs) && base.recs[*j].Key < b.recs[i].Key {
+			*j++
+		}
+		if !same() {
+			return false
+		}
+	}
+	*j++
+	return true
+}
+
 // v2Magic opens a version-2 bucket page. The value is provably not a v1
 // prefix: a v1 page starts with its bound length — either ^uint32(0)
 // (the infinite bound) or a real length far below 0xFFFFFFFE.
@@ -205,16 +262,14 @@ func (b *Bucket) Bytes() int {
 	return n
 }
 
-// sharedPrefix returns the number of leading bytes key shares with ref:
-// the bucket's bound for the first record, the previous key after that.
-// Comparing in place keeps the encoder free of per-record conversions.
-func sharedPrefix[R string | []byte](key string, ref R) int {
-	n := len(key)
-	if len(ref) < n {
-		n = len(ref)
-	}
+// sharedPrefix returns the number of leading bytes a shares with b. The
+// encoder compares a key with its reference (the bucket's bound for the
+// first record, the previous key after that), the page search a key with
+// the one it looks for. Comparing in place keeps both free of conversions.
+func sharedPrefix[A, B string | []byte](a A, b B) int {
+	n := min(len(a), len(b))
 	i := 0
-	for i < n && key[i] == ref[i] {
+	for i < n && a[i] == b[i] {
 		i++
 	}
 	return i
@@ -374,38 +429,52 @@ func DecodeBinary(buf []byte) (*Bucket, int, error) {
 	return b, off, nil
 }
 
-// decodeV2 reconstructs a version-2 bucket page.
-func decodeV2(buf []byte) (*Bucket, int, error) {
+// v2Header parses a version-2 page's header and returns its bound (nil
+// for the infinite bound; it aliases buf), its record count and the
+// offset of its first record.
+func v2Header(buf []byte) ([]byte, int, int, error) {
 	if len(buf) < 5 {
-		return nil, 0, fmt.Errorf("bucket: decode: truncated v2 header")
+		return nil, 0, 0, fmt.Errorf("bucket: decode: truncated v2 header")
 	}
 	if v := buf[4]; v != byte(format.V2) {
-		return nil, 0, &format.UnknownVersionError{Surface: "bucket page", Version: uint32(v)}
+		return nil, 0, 0, &format.UnknownVersionError{Surface: "bucket page", Version: uint32(v)}
 	}
-	b := &Bucket{decodedFrom: format.V2}
 	off := 5
 	bc, n := format.Uvarint(buf[off:])
 	if n == 0 {
-		return nil, 0, fmt.Errorf("bucket: decode: truncated bound length")
+		return nil, 0, 0, fmt.Errorf("bucket: decode: truncated bound length")
 	}
 	off += n
+	var bound []byte
 	if bc > 0 {
 		if bc-1 > uint64(len(buf)-off) {
-			return nil, 0, fmt.Errorf("bucket: decode: truncated bound of %d bytes", bc-1)
+			return nil, 0, 0, fmt.Errorf("bucket: decode: truncated bound of %d bytes", bc-1)
 		}
-		bl := int(bc - 1)
-		b.bound = append([]byte(nil), buf[off:off+bl]...)
-		off += bl
+		bound = buf[off : off+int(bc-1)]
+		off += int(bc - 1)
 	}
 	cnt, n := format.Uvarint(buf[off:])
 	if n == 0 {
-		return nil, 0, fmt.Errorf("bucket: decode: truncated count")
+		return nil, 0, 0, fmt.Errorf("bucket: decode: truncated count")
 	}
 	off += n
 	// Each record costs at least 3 bytes (three uvarints); reject counts
 	// the remaining bytes cannot possibly hold before allocating.
 	if cnt > uint64(len(buf)-off)/3+1 {
-		return nil, 0, fmt.Errorf("bucket: decode: record count %d exceeds page", cnt)
+		return nil, 0, 0, fmt.Errorf("bucket: decode: record count %d exceeds page", cnt)
+	}
+	return bound, int(cnt), off, nil
+}
+
+// decodeV2 reconstructs a version-2 bucket page.
+func decodeV2(buf []byte) (*Bucket, int, error) {
+	bound, cnt, off, err := v2Header(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	b := &Bucket{decodedFrom: format.V2}
+	if len(bound) > 0 {
+		b.bound = append([]byte(nil), bound...)
 	}
 	// Pass 1 checks every record's framing and totals the expanded key
 	// bytes and the value bytes. Pass 2 then fills two arenas allocated
@@ -418,7 +487,7 @@ func decodeV2(buf []byte) (*Bucket, int, error) {
 	// neighbour.
 	keyBytes, valBytes := 0, 0
 	prevLen := len(b.bound)
-	for i, p := 0, off; i < int(cnt); i++ {
+	for i, p := 0, off; i < cnt; i++ {
 		cp, n := format.Uvarint(buf[p:])
 		if n == 0 {
 			return nil, 0, fmt.Errorf("bucket: decode: truncated prefix length at record %d", i)
@@ -488,4 +557,100 @@ func decodeV2(buf []byte) (*Bucket, int, error) {
 		prev = key
 	}
 	return b, off, nil
+}
+
+// SearchPage looks key up in a page serialized by AppendFormat without
+// building a bucket, and reports the version the page was stored in. A
+// version-2 page is searched in one forward pass that makes every check
+// decodeV2 makes and runs to the end of the page even after key is found,
+// so SearchPage fails exactly where DecodeBinary fails: a malformed page
+// is an error whatever key is asked for. The value aliases page (nil when
+// empty, as the decoder returns it). A version-1 page is decoded and
+// searched.
+func SearchPage(page []byte, key string) ([]byte, bool, format.Version, error) {
+	if len(page) < 4 || binary.LittleEndian.Uint32(page) != v2Magic {
+		b, _, err := DecodeBinary(page)
+		if err != nil {
+			return nil, false, 0, err
+		}
+		v, ok := b.Get(key)
+		return v, ok, format.V1, nil
+	}
+	v, ok, err := searchV2(page, key)
+	return v, ok, format.V2, err
+}
+
+// searchV2 is SearchPage on a version-2 page. The current key lives in a
+// stack buffer (grown only for longer keys): each record cuts it to the
+// shared prefix and appends the suffix, after comparing the suffix with
+// the old key's tail — the order check. Matching key costs no full-key
+// compare: the prefix the current key shares with key is carried from
+// record to record.
+func searchV2(buf []byte, key string) ([]byte, bool, error) {
+	bound, cnt, off, err := v2Header(buf)
+	if err != nil {
+		return nil, false, err
+	}
+	var stack [64]byte
+	// The bound is the first record's reference key.
+	cur := append(stack[:0], bound...)
+	// m is the length of the prefix the current key shares with key.
+	m := sharedPrefix(key, cur)
+	var val []byte
+	found := false
+	for i := 0; i < cnt; i++ {
+		// The framing checks are decodeV2's pass 1, inline in the hot
+		// loop; FuzzSearchPageMatchesDecode holds the two to one verdict.
+		c, n := format.Uvarint(buf[off:])
+		if n == 0 {
+			return nil, false, fmt.Errorf("bucket: search: truncated prefix length at record %d", i)
+		}
+		off += n
+		if c > uint64(len(cur)) {
+			return nil, false, fmt.Errorf("bucket: search: shared prefix %d exceeds reference key of %d bytes at record %d", c, len(cur), i)
+		}
+		cp := int(c)
+		sl, n := format.Uvarint(buf[off:])
+		if n == 0 {
+			return nil, false, fmt.Errorf("bucket: search: truncated suffix length at record %d", i)
+		}
+		off += n
+		if sl > uint64(len(buf)-off) {
+			return nil, false, fmt.Errorf("bucket: search: truncated key suffix at record %d", i)
+		}
+		suffix := buf[off : off+int(sl)]
+		off += int(sl)
+		vl, n := format.Uvarint(buf[off:])
+		if n == 0 {
+			return nil, false, fmt.Errorf("bucket: search: truncated value length at record %d", i)
+		}
+		off += n
+		if vl > uint64(len(buf)-off) {
+			return nil, false, fmt.Errorf("bucket: search: truncated value at record %d", i)
+		}
+		value := buf[off : off+int(vl) : off+int(vl)]
+		off += int(vl)
+		if i > 0 {
+			// The key must sort after the old one: its suffix after the
+			// old key's tail.
+			tail := cur[cp:]
+			j := sharedPrefix(suffix, tail)
+			if j == len(suffix) || (j < len(tail) && suffix[j] < tail[j]) {
+				return nil, false, fmt.Errorf("bucket: search: keys out of order at record %d", i)
+			}
+		}
+		cur = append(cur[:cp], suffix...)
+		// A key that keeps more of the old one than m still diverges
+		// from key at m.
+		if cp <= m {
+			m = cp + sharedPrefix(key[cp:], suffix)
+		}
+		if !found && m == len(key) && m == len(cur) {
+			found = true
+			if len(value) > 0 {
+				val = value
+			}
+		}
+	}
+	return val, found, nil
 }

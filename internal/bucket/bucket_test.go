@@ -2,6 +2,7 @@ package bucket
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -113,6 +114,128 @@ func TestCloneIndependence(t *testing.T) {
 	c.Delete("k")
 	if b.Len() != 1 {
 		t.Fatal("clone mutation leaked")
+	}
+}
+
+// TestSnapshotOwnsValues: a snapshot keeps its values when the buffers
+// they were put from are overwritten, keeps the nil/empty distinction,
+// and copies only the values its base does not already hold.
+func TestSnapshotOwnsValues(t *testing.T) {
+	b := New(4)
+	b.SetBound([]byte("z"))
+	buf := []byte("original")
+	b.Put("a", buf)
+	b.Put("b", nil)
+	b.Put("c", []byte{})
+	s := b.Snapshot(nil)
+	buf[0] = 'X'
+	if v, _ := s.Get("a"); string(v) != "original" {
+		t.Fatalf("snapshot value follows the caller's buffer: %q", v)
+	}
+	if string(s.Bound()) != "z" {
+		t.Fatalf("snapshot bound %q", s.Bound())
+	}
+	if v, ok := s.Get("b"); !ok || v != nil {
+		t.Fatalf("nil value became %q, %v", v, ok)
+	}
+	if v, ok := s.Get("c"); !ok || v == nil || len(v) != 0 {
+		t.Fatalf("empty value became %q (nil %v), %v", v, v == nil, ok)
+	}
+	// Against a base, a value that is base's own slice is shared and
+	// any other is copied.
+	next := s.Clone()
+	fresh := []byte("fresh")
+	next.Put("d", fresh)
+	s2 := next.Snapshot(s)
+	a1, _ := s.Get("a")
+	a2, _ := s2.Get("a")
+	if &a1[0] != &a2[0] {
+		t.Error("a value identical to base's was copied")
+	}
+	if d, _ := s2.Get("d"); &d[0] == &fresh[0] {
+		t.Error("a value not in base was shared")
+	}
+}
+
+// TestSearchPage checks the in-place search against the decoder on random
+// pages of both versions — every stored key, absent keys between them,
+// and keys past either end — and that a v2 search allocates nothing.
+func TestSearchPage(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		var b *Bucket
+		if trial%4 == 0 {
+			b = sharedKeyBucket(rng)
+		} else {
+			b = New(12)
+			if rng.Intn(2) == 0 {
+				b.SetBound([]byte("k~"))
+			}
+			for i, n := 0, rng.Intn(12); i < n; i++ {
+				v := make([]byte, rng.Intn(3)*40)
+				rng.Read(v)
+				b.Put(fmt.Sprintf("k%03d", rng.Intn(500)*2), v)
+			}
+		}
+		probes := append(b.Keys(), "", "k", "k001", "k999", "~")
+		for _, k := range b.Keys() {
+			probes = append(probes, k+"0", k[:len(k)-1])
+		}
+		for _, v := range []format.Version{format.V1, format.V2} {
+			page := b.AppendFormat(nil, v)
+			for _, k := range probes {
+				got, ok, ver, err := SearchPage(page, k)
+				want, wantOK := b.Get(k)
+				if err != nil || ver != v || ok != wantOK || !bytes.Equal(got, want) {
+					t.Fatalf("v%d SearchPage(%q) = %q, %v, v%d, %v; want %q, %v", v, k, got, ok, ver, err, want, wantOK)
+				}
+			}
+		}
+	}
+	b := New(20)
+	b.SetBound([]byte("user:9"))
+	for i := 0; i < 20; i++ {
+		b.Put(fmt.Sprintf("user:%04d", i*7), []byte("value"))
+	}
+	page := b.AppendFormat(nil, format.V2)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok, _, err := SearchPage(page, "user:0070"); err != nil || !ok {
+			t.Fatal(ok, err)
+		}
+	}); allocs != 0 {
+		t.Errorf("SearchPage on a v2 page makes %v allocations, want 0", allocs)
+	}
+}
+
+// TestSearchPageErrors: a malformed page fails the search whatever the
+// key, even when the key sits before the damage; a future version is
+// the typed refusal.
+func TestSearchPageErrors(t *testing.T) {
+	b := New(4)
+	for _, k := range []string{"a", "b", "c"} {
+		b.Put(k, []byte(k))
+	}
+	page := b.AppendFormat(nil, format.V2)
+	for cut := 0; cut < len(page); cut++ {
+		if _, _, _, err := SearchPage(page[:cut], "a"); err == nil {
+			t.Errorf("truncation at %d not detected", cut)
+		}
+	}
+	// Swap the last two records' suffixes: "a", "c", "b" is out of order.
+	bad := append([]byte(nil), page...)
+	i, j := bytes.IndexByte(bad[5:], 'b')+5, bytes.LastIndexByte(bad, 'c')
+	bad[i], bad[j-2] = 'c', 'b'
+	if _, _, err := DecodeBinary(bad); err == nil {
+		t.Fatal("the reordered page decodes; the test page is wrong")
+	}
+	if _, _, _, err := SearchPage(bad, "a"); err == nil {
+		t.Error("keys out of order not detected")
+	}
+	future := append([]byte(nil), page...)
+	future[4] = 9
+	var uve *format.UnknownVersionError
+	if _, _, _, err := SearchPage(future, "a"); !errors.As(err, &uve) {
+		t.Errorf("future version: %v, want *format.UnknownVersionError", err)
 	}
 }
 

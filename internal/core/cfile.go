@@ -233,15 +233,12 @@ func (e *ConcurrentFile) GetOp(key string, sp *obs.Span) ([]byte, error) {
 			sp.EndHold(obs.StageLatchHold)
 			continue
 		}
-		b, err := e.inner.views.View(addr, sp)
-		if err != nil {
-			mu.RUnlock()
-			sp.EndHold(obs.StageLatchHold)
-			return nil, err
-		}
-		v, ok := b.Get(key)
+		v, ok, err := e.inner.views.Get(addr, key, sp)
 		mu.RUnlock()
 		sp.EndHold(obs.StageLatchHold)
+		if err != nil {
+			return nil, err
+		}
 		if !ok {
 			return nil, ErrNotFound
 		}

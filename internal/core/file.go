@@ -145,9 +145,9 @@ func (f *File) Get(key string) ([]byte, error) { return f.GetOp(key, nil) }
 
 // GetOp returns the value stored under key. A search through an in-core
 // trie costs at most one bucket read — zero when the key falls on a nil
-// leaf. Read-only lookups go through the store's ReadView when it has one,
-// so a store exposing immutable snapshots (the buffer pools) serves the
-// hit without copying the bucket. sp, when non-nil, is charged the
+// leaf. The read is the store's point lookup (Views.Get): the buffer pool
+// searches a resident snapshot without copying it, and the file store
+// searches the page in place. sp, when non-nil, is charged the
 // trie-search and store-read stages; core never reads the clock itself
 // (the determinism analyzer forbids it), every timestamp is taken behind
 // Span's methods.
@@ -160,11 +160,10 @@ func (f *File) GetOp(key string, sp *obs.Span) ([]byte, error) {
 	if leaf.IsNil() {
 		return nil, ErrNotFound
 	}
-	b, err := f.views.View(leaf.Addr(), sp)
+	v, ok, err := f.views.Get(leaf.Addr(), key, sp)
 	if err != nil {
 		return nil, err
 	}
-	v, ok := b.Get(key)
 	if !ok {
 		return nil, ErrNotFound
 	}

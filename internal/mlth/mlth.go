@@ -249,10 +249,11 @@ func (f *File) locateLeaf(key string) trie.Ptr {
 // Get is GetOp without a span.
 func (f *File) Get(key string) ([]byte, error) { return f.GetOp(key, nil) }
 
-// GetOp returns the value stored under key, reading the bucket through
-// the store's clone-free view. The multilevel locate — page traversal
-// included — is charged to sp's trie-search stage: pages are trie nodes
-// here, and their reads are counted separately by the page-read counter.
+// GetOp returns the value stored under key through the store's point
+// lookup (Views.Get), which searches the page without decoding it when
+// the store can. The multilevel locate — page traversal included — is
+// charged to sp's trie-search stage: pages are trie nodes here, and their
+// reads are counted separately by the page-read counter.
 // mlth is a deterministic package, so all clock reads stay behind the
 // span's methods.
 func (f *File) GetOp(key string, sp *obs.Span) ([]byte, error) {
@@ -264,11 +265,10 @@ func (f *File) GetOp(key string, sp *obs.Span) ([]byte, error) {
 	if leaf.IsNil() {
 		return nil, ErrNotFound
 	}
-	b, err := f.views.View(leaf.Addr(), sp)
+	v, ok, err := f.views.Get(leaf.Addr(), key, sp)
 	if err != nil {
 		return nil, err
 	}
-	v, ok := b.Get(key)
 	if !ok {
 		return nil, ErrNotFound
 	}

@@ -21,9 +21,15 @@ import (
 // fresh copy and never mutates one in place. That is what lets ReadView
 // hand hits out without cloning (the zero-allocation read path), and
 // install the bucket a miss read without cloning it; Read keeps the Store
-// contract and clones.
+// contract and clones. A Write installs a snapshot whose values the
+// caller's buffers cannot reach.
+//
+// Over a store that can search a page in place, a Lookup miss is served
+// by that search and installs nothing; frames are filled by ReadView, Read
+// and write-through.
 type ShardedCache struct {
 	Store
+	search Searcher // the wrapped store's Lookup, nil without one
 	mask   int32
 	shards []clockShard
 
@@ -76,6 +82,7 @@ func NewSharded(s Store, frames, shards int) *ShardedCache {
 	}
 	perShard := (frames + n - 1) / n
 	c := &ShardedCache{Store: s, mask: int32(n - 1), shards: make([]clockShard, n)}
+	c.search, _ = s.(Searcher)
 	for i := range c.shards {
 		c.shards[i].frames = perShard
 		c.shards[i].byAddr = make(map[int32]*clockFrame, perShard)
@@ -162,6 +169,17 @@ func (sh *clockShard) lookup(addr int32) (*bucket.Bucket, bool) {
 	return b, true
 }
 
+// peek returns addr's resident snapshot, or nil, without marking it
+// referenced.
+func (sh *clockShard) peek(addr int32) *bucket.Bucket {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if fr, ok := sh.byAddr[addr]; ok {
+		return fr.b.Load()
+	}
+	return nil
+}
+
 // install places an immutable snapshot for addr in the shard, running the
 // CLOCK hand when the ring is full. It returns the evicted address and
 // whether an eviction happened. overwrite distinguishes write-through
@@ -225,13 +243,18 @@ func (sh *clockShard) drop(addr int32) {
 	sh.mu.Unlock()
 }
 
+// miss counts and reports a read the pool could not serve.
+func (c *ShardedCache) miss(sh *clockShard, addr int32) {
+	sh.misses.Add(1)
+	c.hook.Observer().Emit(obs.Event{Type: obs.EvCacheMiss, Addr: addr})
+}
+
 // fill resolves a miss: one underlying read, one snapshot installed. For
 // an owned read the caller gets the bucket read and the frame keeps a
 // clone, so later caller mutations cannot reach the pool; a view shares
 // the freshly read bucket with the frame, since neither mutates it.
 func (c *ShardedCache) fill(sh *clockShard, addr int32, owned bool) (*bucket.Bucket, error) {
-	sh.misses.Add(1)
-	c.hook.Observer().Emit(obs.Event{Type: obs.EvCacheMiss, Addr: addr})
+	c.miss(sh, addr)
 	b, err := c.Store.Read(addr)
 	if err != nil {
 		return nil, err
@@ -289,13 +312,53 @@ func (c *ShardedCache) ReadViewTagged(addr int32) (*bucket.Bucket, bool, error) 
 	return b, false, nil
 }
 
+// Lookup implements Searcher. A hit searches the frame's snapshot and
+// allocates nothing. A miss goes to the wrapped store's Lookup and
+// installs nothing, so a stream of point lookups over many more buckets
+// than frames leaves the pool as ReadView, Read and write-through filled
+// it. Over a store without Lookup a miss fills a frame as ReadView does.
+// No shard lock is held across the store's I/O.
+func (c *ShardedCache) Lookup(addr int32, key string) ([]byte, bool, error) {
+	v, ok, _, err := c.LookupTagged(addr, key)
+	return v, ok, err
+}
+
+// LookupTagged is Lookup plus the hit/miss verdict, as ReadViewTagged is
+// ReadView's.
+func (c *ShardedCache) LookupTagged(addr int32, key string) ([]byte, bool, bool, error) {
+	sh := c.shard(addr)
+	if b, ok := sh.lookup(addr); ok {
+		sh.hits.Add(1)
+		c.hook.Observer().Emit(obs.Event{Type: obs.EvCacheHit, Addr: addr})
+		v, found := b.Get(key)
+		return v, found, true, nil
+	}
+	if c.search != nil {
+		c.miss(sh, addr)
+		v, found, err := c.search.Lookup(addr, key)
+		return v, found, false, err
+	}
+	b, err := c.fill(sh, addr, false)
+	if err != nil {
+		return nil, false, false, err
+	}
+	v, found := b.Get(key)
+	return v, found, false, nil
+}
+
 // Write implements Store write-through: the pool and the backing store
-// both receive the new contents.
+// both receive the new contents. The frame gets a snapshot whose values
+// the caller cannot reach: those the resident frame already holds are
+// shared and the rest copied (Bucket.Snapshot). A file store keeps none
+// of the caller's bytes; a frame that kept them would serve a caller who
+// reuses its buffer the new bytes until the frame is evicted and the old
+// ones after.
 func (c *ShardedCache) Write(addr int32, b *bucket.Bucket) error {
 	if err := c.Store.Write(addr, b); err != nil {
 		return err
 	}
-	if victim, evicted := c.shard(addr).install(addr, b.Clone(), true); evicted {
+	sh := c.shard(addr)
+	if victim, evicted := sh.install(addr, b.Snapshot(sh.peek(addr)), true); evicted {
 		c.hook.Observer().Emit(obs.Event{Type: obs.EvCacheEvict, Addr: victim})
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -185,6 +186,167 @@ func TestShardedReadViewZeroAlloc(t *testing.T) {
 	_ = sink
 	if allocs != 0 {
 		t.Fatalf("ReadView hit allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// diskPool returns a pool of frames frames in shards shards over a file
+// store holding n buckets, written to the store directly so the pool
+// starts empty. Bucket addr holds the one record k<addr> = v<addr>.
+func diskPool(t *testing.T, frames, shards, n int) *ShardedCache {
+	t.Helper()
+	fs, err := CreateFile(filepath.Join(t.TempDir(), "buckets.th"), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fs.Close() })
+	for i := 0; i < n; i++ {
+		addr, err := fs.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := bucket.New(1)
+		b.Put(fmt.Sprintf("k%d", addr), []byte(fmt.Sprintf("v%d", addr)))
+		if err := fs.Write(addr, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return NewSharded(fs, frames, shards)
+}
+
+// resident returns the number of addresses the pool holds a frame for.
+func resident(c *ShardedCache) int {
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.RLock()
+		n += len(sh.byAddr)
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// lookupAll looks up every bucket in addrs and checks the value found.
+func lookupAll(t *testing.T, c *ShardedCache, addrs []int32) {
+	t.Helper()
+	for _, addr := range addrs {
+		v, ok, err := c.Lookup(addr, fmt.Sprintf("k%d", addr))
+		if err != nil || !ok || string(v) != fmt.Sprintf("v%d", addr) {
+			t.Fatalf("Lookup(%d) = %q, %v, %v", addr, v, ok, err)
+		}
+	}
+}
+
+// addrRange returns the addresses from through to-1.
+func addrRange(from, to int) []int32 {
+	var addrs []int32
+	for a := from; a < to; a++ {
+		addrs = append(addrs, int32(a))
+	}
+	return addrs
+}
+
+// TestShardedLookupMissInstallsNothing: over a store that searches in
+// place, Lookup misses install nothing, however often they repeat, while
+// the frames ReadView filled serve every later Lookup.
+func TestShardedLookupMissInstallsNothing(t *testing.T) {
+	const frames = 16
+	c := diskPool(t, frames, 4, 10*frames)
+	for pass := 1; pass <= 2; pass++ {
+		lookupAll(t, c, addrRange(0, 10*frames))
+		if n := resident(c); n != 0 {
+			t.Fatalf("%d passes over %d buckets installed %d frames, want 0", pass, 10*frames, n)
+		}
+	}
+	if c.Hits() != 0 || c.Misses() != 2*10*frames {
+		t.Fatalf("hits %d, misses %d after two cold passes", c.Hits(), c.Misses())
+	}
+	hot := addrRange(0, frames/2)
+	for _, addr := range hot {
+		if _, err := c.ReadView(addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := resident(c); n != len(hot) {
+		t.Fatalf("%d frames resident after ReadView filled the hot set, want %d", n, len(hot))
+	}
+	c.ResetCounters()
+	for round := 0; round < 3; round++ {
+		lookupAll(t, c, hot)
+	}
+	if c.Hits() != int64(3*len(hot)) || c.Misses() != 0 || c.Counters().Reads != 0 {
+		t.Fatalf("hot lookups: %d hits, %d misses, %d store reads; want %d hits and nothing else",
+			c.Hits(), c.Misses(), c.Counters().Reads, 3*len(hot))
+	}
+}
+
+// TestShardedLookupHitZeroAlloc: a pool hit searches the frame's snapshot
+// and allocates nothing.
+func TestShardedLookupHitZeroAlloc(t *testing.T) {
+	c := diskPool(t, 8, 2, 4)
+	if _, err := c.ReadView(2); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Hits()
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, ok, err := c.Lookup(2, "k2"); err != nil || !ok {
+			t.Fatal(ok, err)
+		}
+	})
+	if c.Hits()-before != 201 {
+		t.Fatalf("%d of 201 lookups hit", c.Hits()-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("a Lookup hit allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// TestShardedLookupWrites is the race-detector workout for the lookup
+// path: concurrent Lookups and write-throughs on one pool smaller than
+// the file. Writers keep each bucket's one key and change its value;
+// readers must always find the key with a value of that bucket. A
+// per-bucket read/write latch orders the accesses to one slot, as bucket
+// latches do above the store: a file store's pread of a slot is not atomic
+// against a pwrite of it.
+func TestShardedLookupWrites(t *testing.T) {
+	const buckets = 64
+	c := diskPool(t, 8, 4, buckets)
+	var latch [buckets]sync.RWMutex
+	var wg sync.WaitGroup
+	fail := make(chan string, 16)
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 1500; i++ {
+				addr := rng.Int31n(buckets)
+				key := fmt.Sprintf("k%d", addr)
+				if seed%2 == 1 && rng.Intn(2) == 0 { // odd workers also write
+					b := bucket.New(1)
+					b.Put(key, []byte(fmt.Sprintf("v%d", addr)))
+					latch[addr].Lock()
+					err := c.Write(addr, b)
+					latch[addr].Unlock()
+					if err != nil {
+						fail <- fmt.Sprintf("write %d: %v", addr, err)
+						return
+					}
+					continue
+				}
+				latch[addr].RLock()
+				v, ok, err := c.Lookup(addr, key)
+				latch[addr].RUnlock()
+				if err != nil || !ok || string(v) != fmt.Sprintf("v%d", addr) {
+					fail <- fmt.Sprintf("Lookup(%d) = %q, %v, %v", addr, v, ok, err)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	close(fail)
+	if msg, ok := <-fail; ok {
+		t.Fatal(msg)
 	}
 }
 

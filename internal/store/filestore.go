@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,7 +40,8 @@ import (
 // scan at open, so Write and Free check it instead of reading the slot
 // back. A slot is damaged when its flag byte was neither live nor free at
 // open, when the file's metadata references it but the scan did not find
-// it live (ClaimReferenced), or when a Read of it failed with ErrCorrupt.
+// it live (ClaimReferenced), or when a Read or Lookup of it failed with
+// ErrCorrupt.
 // Write and Free refuse a damaged slot with ErrCorrupt, Alloc never
 // returns it, and ClearSlot is the only way out — MemStore's rule.
 //
@@ -252,7 +254,8 @@ func (s *FileStore) frame() *[]byte {
 }
 
 // readFrame reads slot addr into frame with one positioned read and
-// returns its verified payload, which aliases frame.
+// returns its verified payload, which aliases frame, counting one read. A
+// slot whose flags, length or checksum fail is marked damaged.
 func (s *FileStore) readFrame(addr int32, frame []byte) ([]byte, error) {
 	if n := s.slots.Load(); addr < 0 || addr >= n {
 		return nil, fmt.Errorf("%w: slot %d of %d", ErrNotAllocated, addr, n)
@@ -262,19 +265,20 @@ func (s *FileStore) readFrame(addr int32, frame []byte) ([]byte, error) {
 	}
 	flags := frame[0]
 	if flags != slotLive && flags != slotFree {
-		return nil, &CorruptError{Addr: addr, Reason: fmt.Sprintf("invalid slot flags 0x%02x", flags)}
+		return nil, s.corrupt(addr, fmt.Sprintf("invalid slot flags 0x%02x", flags))
 	}
 	n := int(binary.LittleEndian.Uint32(frame[1:]))
 	if n > s.slotSize-slotHeaderSize {
-		return nil, &CorruptError{Addr: addr, Reason: fmt.Sprintf("corrupt length %d", n)}
+		return nil, s.corrupt(addr, fmt.Sprintf("corrupt length %d", n))
 	}
 	payload := frame[slotHeaderSize : slotHeaderSize+n]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[5:]) {
-		return nil, &CorruptError{Addr: addr, Reason: "checksum mismatch"}
+		return nil, s.corrupt(addr, "checksum mismatch")
 	}
 	if flags != slotLive {
 		return nil, fmt.Errorf("%w: read of freed slot %d", ErrNotAllocated, addr)
 	}
+	s.ctr.reads.Add(1)
 	return payload, nil
 }
 
@@ -320,14 +324,16 @@ func (s *FileStore) checkLive(addr int32, op string) error {
 	return fmt.Errorf("%w: %s of freed slot %d", ErrNotAllocated, op, addr)
 }
 
-// damage marks live slot addr damaged once a Read found it corrupt.
-func (s *FileStore) damage(addr int32) {
+// corrupt marks live slot addr damaged once a read found it corrupt, and
+// returns the error that read reports.
+func (s *FileStore) corrupt(addr int32, reason string) error {
 	s.mu.Lock()
 	if int(addr) < len(s.state) && s.state[addr] == stateLive {
 		s.state[addr] = stateDamaged
 		s.live--
 	}
 	s.mu.Unlock()
+	return &CorruptError{Addr: addr, Reason: reason}
 }
 
 // Read implements Store: one positioned read into a pooled frame, then
@@ -337,25 +343,47 @@ func (s *FileStore) Read(addr int32) (*bucket.Bucket, error) {
 	defer s.frames.Put(fp)
 	payload, err := s.readFrame(addr, *fp)
 	if err != nil {
-		if errors.Is(err, ErrCorrupt) {
-			s.damage(addr)
-		}
 		return nil, err
 	}
-	s.ctr.reads.Add(1)
 	b, _, err := bucket.DecodeBinary(payload)
 	if err != nil {
-		// A future build's page is intact, not corrupt: surface the version
-		// refusal as-is so callers never try to repair it.
-		var uve *format.UnknownVersionError
-		if errors.As(err, &uve) {
-			return nil, err
-		}
-		s.damage(addr)
-		return nil, &CorruptError{Addr: addr, Reason: fmt.Sprintf("payload decode: %v", err)}
+		return nil, s.pageErr(addr, err)
 	}
 	format.RecordPageRead(b.DecodedFormat())
 	return b, nil
+}
+
+// Lookup implements Searcher: Read's one positioned read and checks, then
+// a search of the page in the frame, which copies out only the value it
+// finds. It counts one read, as Read does, and fails and damages the slot
+// wherever Read would.
+func (s *FileStore) Lookup(addr int32, key string) ([]byte, bool, error) {
+	fp := s.frame()
+	defer s.frames.Put(fp)
+	payload, err := s.readFrame(addr, *fp)
+	if err != nil {
+		return nil, false, err
+	}
+	v, ok, ver, err := bucket.SearchPage(payload, key)
+	if err != nil {
+		return nil, false, s.pageErr(addr, err)
+	}
+	format.RecordPageRead(ver)
+	// The frame goes back to the pool on return: the value must not
+	// alias it.
+	return bytes.Clone(v), ok, nil
+}
+
+// pageErr is the error a read of slot addr reports when its verified
+// payload does not decode. A future build's page is intact, not corrupt:
+// the version refusal surfaces as-is, so callers never try to repair it.
+// Anything else damages the slot.
+func (s *FileStore) pageErr(addr int32, err error) error {
+	var uve *format.UnknownVersionError
+	if errors.As(err, &uve) {
+		return err
+	}
+	return s.corrupt(addr, fmt.Sprintf("payload decode: %v", err))
 }
 
 // Write implements Store: the in-memory state check, then one positioned

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"path/filepath"
 	"testing"
 
@@ -100,12 +102,28 @@ func TestSlotStateDamaged(t *testing.T) {
 		if v, ok := got.Get("key"); !ok || string(v) != "value" {
 			t.Fatalf("reused slot reads %q, %v", v, ok)
 		}
+		// A point lookup finds damage as a Read does and marks the slot
+		// the same way.
+		if err := s.CorruptSlot(a, CorruptFlip, 2); err != nil {
+			t.Fatal(err)
+		}
+		views := NewViews(s)
+		if _, _, err := views.Get(a, "key", nil); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Lookup of a corrupted slot: %v, want ErrCorrupt", err)
+		}
+		if err := s.Write(a, b); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Write after a failed Lookup: %v, want ErrCorrupt", err)
+		}
+		if err := s.Free(a); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Free after a failed Lookup: %v, want ErrCorrupt", err)
+		}
 	})
 }
 
 // TestReadOwnsItsBucket is the frame-aliasing guard: a bucket Read
-// returns keeps its keys, values and bound through later Reads and Writes
-// of the same store, which reuse the store's slot frames.
+// returns, and a value a lookup returns, keep their bytes through later
+// Lookups, Reads and Writes of the same store, which reuse the store's
+// slot frames.
 func TestReadOwnsItsBucket(t *testing.T) {
 	testMemAndDisk(t, func(t *testing.T, s slotStore) {
 		page := func(tag string) *bucket.Bucket {
@@ -131,13 +149,24 @@ func TestReadOwnsItsBucket(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		views := NewViews(s)
+		value, ok, err := views.Get(addrs[0], "a-key-2", nil)
+		if err != nil || !ok {
+			t.Fatalf("lookup of a-key-2: %v, %v", ok, err)
+		}
 		for i := 0; i < 4; i++ {
 			if _, err := s.Read(addrs[1]); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := views.Get(addrs[1], "b-key-2", nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Write(addrs[1], page(fmt.Sprintf("c%d", i))); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if string(value) != "a-value-2" {
+			t.Fatalf("looked-up value changed to %q", value)
 		}
 		want := page("a")
 		if string(held.Bound()) != string(want.Bound()) || held.Len() != want.Len() {
@@ -217,14 +246,79 @@ func TestFileStoreOneSyscallPerTransfer(t *testing.T) {
 	}{
 		{"Write", func() error { return s.Write(a, b) }, 0, 1},
 		{"Read", func() error { _, err := s.Read(a); return err }, 1, 0},
+		{"Lookup", func() error { _, _, err := s.Lookup(a, "key"); return err }, 1, 0},
 		{"Free", func() error { return s.Free(a) }, 0, 1},
 	} {
 		m.reads, m.writes = 0, 0
+		before := s.Counters()
 		if err := op.do(); err != nil {
 			t.Fatalf("%s: %v", op.name, err)
 		}
 		if m.reads != op.reads || m.writes != op.writes {
 			t.Errorf("%s issued %d ReadAt and %d WriteAt, want %d and %d", op.name, m.reads, m.writes, op.reads, op.writes)
 		}
+		// The paper's unit: a lookup is one bucket read, like Read.
+		if d := s.Counters().Sub(before); d.Reads != int64(op.reads) {
+			t.Errorf("%s counted %d bucket reads, want %d", op.name, d.Reads, op.reads)
+		}
+	}
+}
+
+// writePage stores payload in slot addr as a verified frame: the right
+// flags, length and checksum around whatever bytes payload holds.
+func writePage(t *testing.T, s *FileStore, addr int32, payload []byte) {
+	t.Helper()
+	frame := make([]byte, s.slotSize)
+	frame[0] = slotLive
+	binary.LittleEndian.PutUint32(frame[1:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[5:], crc32.ChecksumIEEE(payload))
+	copy(frame[slotHeaderSize:], payload)
+	if _, err := s.f.WriteAt(frame, s.offset(addr)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFileStoreLookupPageErrors: a lookup of a checksum-valid page that
+// does not decode fails as Read does. Bad framing is corruption and
+// damages the slot; a future version is intact and marks nothing.
+func TestFileStoreLookupPageErrors(t *testing.T) {
+	s, err := CreateFile(filepath.Join(t.TempDir(), "buckets.th"), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	b := bucket.New(2)
+	b.Put("key", []byte("value"))
+	good := b.AppendFormat(nil, format.V2)
+
+	a, err := s.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writePage(t, s, a, good[:len(good)-2]) // the value runs past the page
+	var ce *CorruptError
+	if _, _, err := s.Lookup(a, "key"); !errors.As(err, &ce) {
+		t.Fatalf("Lookup of a badly framed page: %v, want a CorruptError", err)
+	}
+	if err := s.Write(a, b); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Write after a failed Lookup: %v, want ErrCorrupt", err)
+	}
+
+	f, err := s.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	future := append([]byte(nil), good...)
+	future[4] = 9
+	writePage(t, s, f, future)
+	var uve *format.UnknownVersionError
+	if _, _, err := s.Lookup(f, "key"); !errors.As(err, &uve) {
+		t.Fatalf("Lookup of a future page: %v, want *format.UnknownVersionError", err)
+	}
+	if err := s.Write(f, b); err != nil {
+		t.Fatalf("Write after a version refusal: %v; the slot must not be damaged", err)
+	}
+	if v, ok, err := s.Lookup(f, "key"); err != nil || !ok || string(v) != "value" {
+		t.Fatalf("Lookup after the rewrite = %q, %v, %v", v, ok, err)
 	}
 }

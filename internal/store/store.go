@@ -107,6 +107,15 @@ type Viewer interface {
 	ReadView(addr int32) (*bucket.Bucket, error)
 }
 
+// Searcher is the optional point lookup of a store: Lookup finds key in
+// bucket addr without handing out the bucket, so a store that can search
+// its page in place skips the decode. It counts as one bucket read. The
+// value is the caller's to read but not to modify. Views.Get falls back
+// to ReadView and Bucket.Get for stores without it.
+type Searcher interface {
+	Lookup(addr int32, key string) (value []byte, found bool, err error)
+}
+
 // MemStore is an in-memory simulated disk. It deep-copies buckets on Read
 // and Write so that, exactly like a real disk, mutations become visible
 // only through an explicit Write — keeping the access discipline of the

@@ -858,14 +858,18 @@ func recordSince(o *obs.Observer, op obs.Op, start time.Time) {
 
 // Put inserts or replaces the record for key. With Options.WAL the call
 // returns only after the record is durable in the log (group-committed
-// alongside concurrent writers).
+// alongside concurrent writers). The file may keep value after Put
+// returns (an in-memory file stores the slice itself), so the caller
+// must not modify it.
 func (f *File) Put(key string, value []byte) error {
 	err := f.run(&call{op: obs.OpPut, key: key, value: value})
 	f.maybeCheckpoint()
 	return err
 }
 
-// Get returns the value stored under key, or ErrNotFound.
+// Get returns the value stored under key, or ErrNotFound. The value may
+// alias the file's record (an in-memory file or a buffer-pool frame hands
+// out its own bytes), so the caller must not modify it.
 func (f *File) Get(key string) ([]byte, error) {
 	c := call{op: obs.OpGet, key: key}
 	err := f.run(&c)
@@ -896,6 +900,8 @@ func (f *File) Delete(key string) error {
 
 // Range calls fn for every record with from <= key <= to in ascending key
 // order until fn returns false. An empty to scans to the end of the file.
+// Each value may alias the file's record, as Get's does: fn must not
+// modify it.
 func (f *File) Range(from, to string, fn func(key string, value []byte) bool) error {
 	return f.run(&call{op: obs.OpRange, key: from, to: to, fn: fn})
 }

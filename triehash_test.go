@@ -639,6 +639,48 @@ func TestCacheFrames(t *testing.T) {
 	}
 }
 
+// TestCachePoolOwnsPutValues: a caller that reuses its buffer after Put
+// on an on-disk file with a buffer pool still reads the bytes it wrote,
+// while the bucket's frame is resident and after it is evicted — the
+// pool must not keep the caller's slice.
+func TestCachePoolOwnsPutValues(t *testing.T) {
+	for _, opts := range []Options{{CacheFrames: 8}, {CacheFrames: 8, Concurrent: true}, {CacheFrames: 8, PageCapacity: 16}} {
+		f, err := CreateAt(filepath.Join(t.TempDir(), "db"), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := []byte("original")
+		if err := f.Put("k", buf); err != nil {
+			t.Fatal(err)
+		}
+		buf[0] = 'X'
+		before := f.Stats().CacheHits
+		if v, err := f.Get("k"); err != nil || string(v) != "original" {
+			t.Fatalf("%+v: resident Get = %q, %v, want \"original\"", opts, v, err)
+		}
+		if f.Stats().CacheHits == before {
+			t.Fatalf("%+v: the first Get missed the pool; the test needs the frame resident", opts)
+		}
+		// Keys above "k" split its bucket off early and then write only
+		// other buckets, whose frames push it out of the pool.
+		for _, k := range workload.Uniform(53, 2000, 4, 10) {
+			if err := f.Put("z"+k, []byte(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		misses := f.Stats().CacheMisses
+		if v, err := f.Get("k"); err != nil || string(v) != "original" {
+			t.Fatalf("%+v: Get after eviction = %q, %v, want \"original\"", opts, v, err)
+		}
+		if f.Stats().CacheMisses == misses {
+			t.Fatalf("%+v: the last Get hit the pool; the test needs the frame evicted", opts)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestBulkLoadFacade: the one-pass loader through the public API, both
 // in-memory and persistent.
 func TestBulkLoadFacade(t *testing.T) {
