@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build lint lint-graph test race short bench bench-baseline bench-compare bench-put-compare bench-wal bench-format repro cover fuzz obs-bench crash clean
+.PHONY: all build lint lint-graph test race short bench bench-put-compare bench-wal bench-format repro cover fuzz obs-bench crash clean
 
 all: build lint test race
 
@@ -47,27 +47,6 @@ repro:
 
 bench:
 	$(GO) test -bench=. -benchmem ./... | tee bench_output.txt
-
-# Throughput benchmarks for the buffer pool / batch / read path work.
-THROUGHPUT_BENCH = BenchmarkConcurrentGetParallel|BenchmarkBatchGet|BenchmarkShardedCache|BenchmarkGet|BenchmarkConcurrentGet
-
-# Save the current HEAD's numbers as the comparison baseline.
-bench-baseline:
-	$(GO) test -run '^$$' -bench '$(THROUGHPUT_BENCH)' -benchmem -count=5 . | tee bench_baseline.txt
-
-# Re-run the same benchmarks and compare against the saved baseline.
-# benchstat is used when installed; otherwise both result sets are printed
-# side by side for manual inspection (nothing is downloaded).
-bench-compare:
-	@test -f bench_baseline.txt || { echo "no bench_baseline.txt: run 'make bench-baseline' on the base commit first"; exit 1; }
-	$(GO) test -run '^$$' -bench '$(THROUGHPUT_BENCH)' -benchmem -count=5 . | tee bench_head.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat bench_baseline.txt bench_head.txt; \
-	else \
-		echo "--- benchstat not installed; baseline vs HEAD ---"; \
-		grep '^Benchmark' bench_baseline.txt | sed 's/^/base /'; \
-		grep '^Benchmark' bench_head.txt | sed 's/^/head /'; \
-	fi
 
 # Gates: instrumented-but-disabled Get must stay within 5% of the
 # uninstrumented baseline (and add zero allocations), and span tracing
@@ -120,4 +99,4 @@ fuzz:
 	$(GO) test -fuzz FuzzTrieDecodeV2 -fuzztime 15s ./internal/trie/
 
 clean:
-	rm -f thbench_output.txt thbench_output.csv bench_output.txt test_output.txt bench_baseline.txt bench_head.txt lockgraph.dot
+	rm -f thbench_output.txt thbench_output.csv bench_output.txt test_output.txt lockgraph.dot

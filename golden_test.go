@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"triehash/internal/format"
+	"triehash/internal/store"
 )
 
 // goldenV1Dir holds a committed version-1 file: meta, buckets and WAL all
@@ -393,5 +394,39 @@ func TestFormatDifferential(t *testing.T) {
 	}
 	if v1, v2 := len(read(build{1, false, false})), len(read(build{2, false, false})); v2 >= v1 {
 		t.Fatalf("v2 buckets.th is %d bytes, not smaller than v1's %d", v2, v1)
+	}
+}
+
+// TestV1PinCoversFirstWrite: a file created pinned to FormatVersion 1
+// holds only v1 pages, the empty bucket its engine writes at creation
+// included — on every engine.
+func TestV1PinCoversFirstWrite(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"serial":     {FormatVersion: 1},
+		"concurrent": {FormatVersion: 1, Concurrent: true},
+		"multilevel": {FormatVersion: 1, PageCapacity: 16},
+	} {
+		dir := filepath.Join(t.TempDir(), name)
+		f, err := CreateAt(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fs, err := store.OpenFile(filepath.Join(dir, "buckets.th"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := fs.Read(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := b.DecodedFormat(); v != format.V1 {
+			t.Errorf("%s: the empty file's bucket 0 is a %v page, want v1", name, v)
+		}
+		if err := fs.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

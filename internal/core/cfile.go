@@ -10,7 +10,6 @@ import (
 
 	"triehash/internal/bucket"
 	"triehash/internal/concurrent"
-	"triehash/internal/format"
 	"triehash/internal/obs"
 	"triehash/internal/store"
 	"triehash/internal/trie"
@@ -154,17 +153,6 @@ func (e *ConcurrentFile) Store() store.Store { return e.inner.st }
 
 // Len returns the number of records.
 func (e *ConcurrentFile) Len() int { return int(e.nkeys.Load()) }
-
-// SetObsHook attaches the observability hook structural events go to.
-func (e *ConcurrentFile) SetObsHook(h *obs.Hook) { e.inner.SetObsHook(h) }
-
-// SetFormat selects the on-disk encoding version (see File.SetFormat).
-// Call before serving operations — the field is not latched.
-func (e *ConcurrentFile) SetFormat(v format.Version) { e.inner.SetFormat(v) }
-
-// SetPageBudget arms the byte-budget gate (see File.SetPageBudget). Call
-// before serving operations — the field is not latched.
-func (e *ConcurrentFile) SetPageBudget(n int) { e.inner.SetPageBudget(n) }
 
 // syncDown pushes the atomic record count into inner.nkeys. Callers hold
 // the flip lock (or the exclusive world lock) and call syncUp with the
@@ -976,9 +964,10 @@ func (e *ConcurrentFile) CheckInvariants() error {
 }
 
 // Scrub quarantines unreadable buckets and rebuilds the trie, returning
-// a fresh concurrent engine over the repaired file. The caller must
-// quiesce concurrent operations.
-func (e *ConcurrentFile) Scrub(quarantinePath string) (*ConcurrentFile, *ScrubReport, error) {
+// the repaired sequential file for the caller to wrap (NewConcurrent); the
+// receiver must not be used afterwards. The caller must quiesce
+// concurrent operations.
+func (e *ConcurrentFile) Scrub(quarantinePath string) (*File, *ScrubReport, error) {
 	e.world.Lock()
 	defer e.world.Unlock()
 	e.inner.nkeys = int(e.nkeys.Load())
@@ -988,9 +977,5 @@ func (e *ConcurrentFile) Scrub(quarantinePath string) (*ConcurrentFile, *ScrubRe
 		e.inner.trie.SetTracer(e.mirror) // the old file stays live
 		return nil, nil, err
 	}
-	ne, err := NewConcurrent(nf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ne, rep, nil
+	return nf, rep, nil
 }

@@ -47,21 +47,28 @@ import (
 //
 // FileStore is safe for concurrent use: reads and writes of distinct
 // slots are independent positioned I/O, the slot count is atomic, and the
-// allocator bookkeeping (slot states, free list, live count) is
-// mutex-guarded, never across I/O. Concurrent operations on the *same*
-// slot need external coordination (the engine's per-bucket latches) — the
-// store does not order them.
+// allocator bookkeeping (slot states, write counts, free list, live
+// count) is mutex-guarded, never across I/O. A read of a slot that
+// overlaps a write of it sees the whole old page or the whole new one, as
+// a MemStore reader does: a pread is not atomic against a pwrite, so a
+// read that fails its checks reads again between two looks at the slot's
+// write count, and only a failure no write overlapped damages the slot.
+// Concurrent writes of the *same* slot need external coordination (the
+// engine's per-bucket latches) — the store does not order them.
 type FileStore struct {
 	f        Medium
 	slotSize int
 	hint     int          // capacity hint from the header; 0 = unknown
 	slots    atomic.Int32 // slots present in the file (allocated + freed)
-	mu       sync.Mutex   // guards state, free and live; never held across I/O
+	mu       sync.Mutex   // guards state, writes, free and live; never held across I/O
 	state    []slotState  // per slot, indexed by address
-	free     []int32      // the free slots; Alloc takes the last
-	live     int
-	frames   sync.Pool // *[]byte slot frames
-	ctr      counterSet
+	// writes counts, per slot, the frame writes begun plus those ended:
+	// odd while one is in flight.
+	writes []uint32
+	free   []int32 // the free slots; Alloc takes the last
+	live   int
+	frames sync.Pool // *[]byte slot frames
+	ctr    counterSet
 	// fmtv is the page encoding version writes use (reads accept either);
 	// 0 means format.Default. Set before the store is shared.
 	fmtv format.Version
@@ -178,6 +185,7 @@ func OpenMedium(m Medium) (*FileStore, error) {
 	}
 	n := int32((size - fileHeaderSize) / int64(s.slotSize))
 	s.state = make([]slotState, n)
+	s.writes = make([]uint32, n)
 	for k := int32(0); k < n; k++ {
 		var sh [slotHeaderSize]byte
 		if _, err := m.ReadAt(sh[:], s.offset(k)); err != nil {
@@ -255,31 +263,68 @@ func (s *FileStore) frame() *[]byte {
 
 // readFrame reads slot addr into frame with one positioned read and
 // returns its verified payload, which aliases frame, counting one read. A
-// slot whose flags, length or checksum fail is marked damaged.
+// read whose flags, length or checksum fail may have been torn by a write
+// of the slot, so it is repeated between two looks at the slot's write
+// count; a failure that no write overlapped marks the slot damaged.
 func (s *FileStore) readFrame(addr int32, frame []byte) ([]byte, error) {
 	if n := s.slots.Load(); addr < 0 || addr >= n {
 		return nil, fmt.Errorf("%w: slot %d of %d", ErrNotAllocated, addr, n)
 	}
-	if _, err := s.f.ReadAt(frame, s.offset(addr)); err != nil {
-		return nil, fmt.Errorf("store: slot %d: %w", addr, err)
+	payload, reason, err := s.readSlot(addr, frame)
+	for reason != "" {
+		before := s.writeCount(addr)
+		payload, reason, err = s.readSlot(addr, frame)
+		if reason != "" && before%2 == 0 && s.writeCount(addr) == before {
+			return nil, s.corrupt(addr, reason)
+		}
 	}
-	flags := frame[0]
-	if flags != slotLive && flags != slotFree {
-		return nil, s.corrupt(addr, fmt.Sprintf("invalid slot flags 0x%02x", flags))
+	if err != nil {
+		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(frame[1:]))
-	if n > s.slotSize-slotHeaderSize {
-		return nil, s.corrupt(addr, fmt.Sprintf("corrupt length %d", n))
-	}
-	payload := frame[slotHeaderSize : slotHeaderSize+n]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[5:]) {
-		return nil, s.corrupt(addr, "checksum mismatch")
-	}
-	if flags != slotLive {
+	if frame[0] != slotLive {
 		return nil, fmt.Errorf("%w: read of freed slot %d", ErrNotAllocated, addr)
 	}
 	s.ctr.reads.Add(1)
 	return payload, nil
+}
+
+// readSlot reads slot addr into frame with one positioned read and checks
+// its flags, length and checksum. It returns the payload, which aliases
+// frame, or the reason the checks failed, or the read's error.
+func (s *FileStore) readSlot(addr int32, frame []byte) (payload []byte, reason string, err error) {
+	if _, err := s.f.ReadAt(frame, s.offset(addr)); err != nil {
+		return nil, "", fmt.Errorf("store: slot %d: %w", addr, err)
+	}
+	if flags := frame[0]; flags != slotLive && flags != slotFree {
+		return nil, fmt.Sprintf("invalid slot flags 0x%02x", flags), nil
+	}
+	n := int(binary.LittleEndian.Uint32(frame[1:]))
+	if n > s.slotSize-slotHeaderSize {
+		return nil, fmt.Sprintf("corrupt length %d", n), nil
+	}
+	payload = frame[slotHeaderSize : slotHeaderSize+n]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(frame[5:]) {
+		return nil, "checksum mismatch", nil
+	}
+	return payload, "", nil
+}
+
+// writeCount returns slot addr's write count (see FileStore.writes).
+func (s *FileStore) writeCount(addr int32) uint32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if int(addr) >= len(s.writes) {
+		return 0
+	}
+	return s.writes[addr]
+}
+
+// countWrite steps slot addr's write count, once before its frame write
+// and once after.
+func (s *FileStore) countWrite(addr int32) {
+	s.mu.Lock()
+	s.writes[addr]++
+	s.mu.Unlock()
 }
 
 // writeFrame writes slot addr with one positioned write: b's page (none
@@ -303,7 +348,9 @@ func (s *FileStore) writeFrame(addr int32, flags byte, b *bucket.Bucket, v forma
 	binary.LittleEndian.PutUint32(frame[1:], uint32(n))
 	binary.LittleEndian.PutUint32(frame[5:], crc32.ChecksumIEEE(frame[slotHeaderSize:slotHeaderSize+n]))
 	clear(frame[slotHeaderSize+n:])
+	s.countWrite(addr)
 	_, err := s.f.WriteAt(frame, s.offset(addr))
+	s.countWrite(addr)
 	return n, err
 }
 
@@ -416,6 +463,7 @@ func (s *FileStore) Alloc() (int32, error) {
 	} else {
 		addr = int32(len(s.state))
 		s.state = append(s.state, stateLive)
+		s.writes = append(s.writes, 0)
 		s.slots.Store(addr + 1)
 	}
 	s.live++
@@ -428,7 +476,7 @@ func (s *FileStore) Alloc() (int32, error) {
 		s.live--
 		if int(addr) == len(s.state)-1 {
 			s.slots.Store(addr)
-			s.state = s.state[:addr]
+			s.state, s.writes = s.state[:addr], s.writes[:addr]
 		} else {
 			s.state[addr] = stateFree
 			s.free = append(s.free, addr)

@@ -322,3 +322,87 @@ func TestFileStoreLookupPageErrors(t *testing.T) {
 		t.Fatalf("Lookup after the rewrite = %q, %v, %v", v, ok, err)
 	}
 }
+
+// tearingMedium runs tear, once, in the middle of the next slot-sized
+// read: the read copies the slot header and a few payload bytes, tear
+// runs (a write of the same slot), and the read copies the rest — the
+// interleaving a pread and a pwrite of one slot can have.
+type tearingMedium struct {
+	*CrashFile
+	slotSize int
+	tear     func()
+}
+
+func (m *tearingMedium) ReadAt(p []byte, off int64) (int, error) {
+	tear := m.tear
+	if tear == nil || len(p) != m.slotSize {
+		return m.CrashFile.ReadAt(p, off)
+	}
+	m.tear = nil
+	const head = slotHeaderSize + 4
+	if n, err := m.CrashFile.ReadAt(p[:head], off); err != nil {
+		return n, err
+	}
+	tear()
+	n, err := m.CrashFile.ReadAt(p[head:], off+head)
+	return head + n, err
+}
+
+// TestFileStoreReadOverlappingWrite: a Read or Lookup that a Write of the
+// same slot tears returns a whole page, the old or the new, and leaves
+// the slot writable — as a MemStore reader would.
+func TestFileStoreReadOverlappingWrite(t *testing.T) {
+	m := &tearingMedium{CrashFile: (&CrashDisk{}).Buckets(), slotSize: 256}
+	s, err := CreateMedium(m, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := s.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := func(v string) *bucket.Bucket {
+		b := bucket.New(2)
+		b.Put("key", []byte(v))
+		return b
+	}
+	old := "value-0000"
+	if err := s.Write(a, page(old)); err != nil {
+		t.Fatal(err)
+	}
+	for i, read := range []struct {
+		name string
+		do   func() ([]byte, error)
+	}{
+		{"Read", func() ([]byte, error) {
+			b, err := s.Read(a)
+			if err != nil {
+				return nil, err
+			}
+			v, _ := b.Get("key")
+			return v, nil
+		}},
+		{"Lookup", func() ([]byte, error) {
+			v, _, err := s.Lookup(a, "key")
+			return v, err
+		}},
+	} {
+		next := fmt.Sprintf("value-%04d", i+1)
+		m.tear = func() {
+			if err := s.Write(a, page(next)); err != nil {
+				t.Errorf("%s: Write during the read: %v", read.name, err)
+			}
+		}
+		v, err := read.do()
+		switch {
+		case err != nil:
+			t.Errorf("%s torn by a Write: %v", read.name, err)
+		case string(v) != old && string(v) != next:
+			t.Errorf("%s torn by a Write = %q, want %q or %q", read.name, v, old, next)
+		}
+		if err := s.Write(a, page(next)); err != nil {
+			t.Fatalf("Write after a torn %s: %v", read.name, err)
+		}
+		old = next
+	}
+}

@@ -58,23 +58,21 @@ func (f *File) Scrub() (*ScrubReport, error) {
 	if f.dir != "" {
 		qpath = filepath.Join(f.dir, "quarantine.th")
 	}
+	var nf *core.File
 	var rep *ScrubReport
+	var err error
 	if f.conc != nil {
-		// The exclusive lock quiesces the shared-lock writers; the engine
-		// rebuild re-mirrors the repaired trie into a fresh arena.
-		ne, r, err := f.conc.Scrub(qpath)
-		if err != nil {
-			return nil, err
-		}
-		f.conc, f.eng, rep = ne, ne, r
-		ne.SetObsHook(f.hook)
+		// The exclusive lock quiesces the shared-lock writers; install
+		// re-mirrors the repaired trie into a fresh arena.
+		nf, rep, err = f.conc.Scrub(qpath)
 	} else {
-		nf, r, err := f.single.Scrub(qpath)
-		if err != nil {
-			return nil, err
-		}
-		f.single, f.eng, rep = nf, nf, r
-		nf.SetObsHook(f.hook)
+		nf, rep, err = f.single.Scrub(qpath)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if _, _, err := f.install(nf); err != nil {
+		return nil, err
 	}
 	if f.dir != "" {
 		if err := f.syncLocked(); err != nil {

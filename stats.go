@@ -2,7 +2,6 @@ package triehash
 
 import (
 	"triehash/internal/core"
-	"triehash/internal/format"
 	"triehash/internal/store"
 )
 
@@ -97,13 +96,7 @@ func (f *File) Stats() Stats {
 	if c := store.AsSharded(f.eng.Store()); c != nil {
 		out.CacheHits, out.CacheMisses = c.Hits(), c.Misses()
 	}
-	// Reopened files may carry an unset pin; every layer then writes at
-	// the default, so report that rather than the raw zero.
-	if v := f.opts.formatVersion(); v.Valid() {
-		out.FormatVersion = int(v)
-	} else {
-		out.FormatVersion = int(format.Default)
-	}
+	out.FormatVersion = f.opts.FormatVersion
 	return out
 }
 

@@ -160,7 +160,10 @@ type Options struct {
 	FormatVersion int
 }
 
-func (o Options) normalize() Options {
+// validated returns o with its defaults filled in, or the error every
+// entry point refuses it with: a format pin this build does not know, or
+// a single-level feature asked of a multilevel file.
+func (o Options) validated() (Options, error) {
 	if o.BucketCapacity == 0 {
 		o.BucketCapacity = 20
 	}
@@ -173,10 +176,18 @@ func (o Options) normalize() Options {
 	if o.FormatVersion == 0 {
 		o.FormatVersion = int(format.Default)
 	}
-	return o
+	switch v := o.formatVersion(); {
+	case int(v) != o.FormatVersion || !v.Valid():
+		return o, fmt.Errorf("triehash: unknown FormatVersion %d", o.FormatVersion)
+	case o.PageCapacity > 0 && (o.Redistribution != RedistNone || o.RotationMerges):
+		return o, fmt.Errorf("triehash: redistribution and rotation merges are single-level features")
+	case o.PageCapacity > 0 && o.Concurrent:
+		return o, fmt.Errorf("triehash: the concurrent engine is a single-level feature; omit PageCapacity")
+	}
+	return o, nil
 }
 
-// formatVersion is the typed form of the (normalized) FormatVersion pin.
+// formatVersion is the typed form of the (validated) FormatVersion pin.
 func (o Options) formatVersion() format.Version { return format.Version(o.FormatVersion) }
 
 func (o Options) alphabet() keys.Alphabet {
@@ -238,7 +249,6 @@ type engine interface {
 	Len() int
 	Store() store.Store
 	SaveMeta() []byte
-	SetObsHook(*obs.Hook)
 	ResetCounters()
 }
 
@@ -306,25 +316,6 @@ func instrument(st store.Store) (store.Store, *obs.Hook) {
 	return store.NewInstrumented(st, h), h
 }
 
-// Create returns an in-memory file (a simulated disk with exact access
-// counting, the configuration the paper's experiments use).
-func Create(opts Options) (*File, error) {
-	f, err := create(opts, "", wrapCache(opts, store.NewMem()))
-	if err != nil {
-		return nil, err
-	}
-	if f.opts.WAL {
-		// An in-memory WAL buys nothing across a process crash, but it
-		// exercises the exact logging path, so tests and differential
-		// comparisons run it against the real durability code.
-		if err := f.attachWAL(wal.NewMem()); err != nil {
-			_ = f.eng.Store().Close()
-			return nil, err
-		}
-	}
-	return f, nil
-}
-
 // wrapCache applies the optional buffer pool.
 func wrapCache(opts Options, st store.Store) store.Store {
 	if opts.CacheFrames <= 0 {
@@ -333,47 +324,107 @@ func wrapCache(opts Options, st store.Store) store.Store {
 	return store.NewSharded(st, opts.CacheFrames, 0)
 }
 
-// CreateAt creates a persistent file in directory dir (created if needed):
-// bucket slots in dir/buckets.th, trie and metadata in dir/meta.th on
-// Sync or Close.
-func CreateAt(dir string, opts Options) (*File, error) {
-	opts = opts.normalize()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	fs, err := store.CreateFile(filepath.Join(dir, "buckets.th"), opts.SlotBytes)
-	if err != nil {
-		return nil, err
-	}
-	if err := fs.SetCapacityHint(opts.BucketCapacity); err != nil {
-		_ = fs.Close()
-		return nil, err
-	}
-	f, err := create(opts, dir, wrapCache(opts, fs))
-	if err != nil {
-		_ = fs.Close() // the create error takes precedence
-		return nil, err
-	}
-	f.armPersistent(fs)
-	f.setRecordLimit()
-	// A fresh file must not inherit a previous tenant's log: a stale
-	// wal.th would otherwise be replayed into it on the next OpenAt.
-	if err := os.Remove(walPath(dir)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		_ = fs.Close()
-		return nil, err
-	}
-	if opts.WAL {
-		dev, err := wal.OpenFileDevice(walPath(dir))
+// origin is how an entry point came by its engine, which decides what
+// assemble does besides installing it.
+type origin int
+
+const (
+	fromEmpty   origin = iota // Create, CreateAt: a new, empty file
+	fromRecords               // BulkLoad: a new file packed from records
+	fromBuckets               // RecoverAt: rebuilt from the bucket bounds
+	fromMeta                  // OpenAtWith: reattached to its metadata
+)
+
+// assemble is the one way a File is built. The entry point supplies the
+// validated options, the directory ("" in memory), the bucket store under
+// the file, the file's origin and the constructor that builds its engine
+// over the store stack. assemble does the rest, in this order:
+//
+//   - it adds the optional buffer pool and the observability hook;
+//   - over a bucket file it sets the format pin before the engine is
+//     built, so the pin covers the engine's first write;
+//   - it installs the engine and, over a bucket file, sets the record
+//     limit;
+//   - a persistent file whose trie was built from bucket contents
+//     (fromRecords, fromBuckets) gets its metadata written, and a new one
+//     (fromEmpty, fromRecords) drops the log a previous tenant left in
+//     dir, which would otherwise be replayed into it on the next OpenAt;
+//   - it attaches the log (attachLog).
+//
+// On any failure it closes the store stack.
+func assemble(opts Options, dir string, base store.Store, from origin, build func(store.Store) (engine, error)) (f *File, err error) {
+	st, hook := instrument(wrapCache(opts, base))
+	defer func() {
 		if err != nil {
-			_ = fs.Close()
+			_ = st.Close() // the assembly error takes precedence
+		}
+	}()
+	fs := store.AsFileStore(base)
+	if fs != nil {
+		fs.SetFormat(opts.formatVersion())
+		opts.SlotBytes = fs.SlotSize()
+	}
+	e, err := build(st)
+	if err != nil {
+		return nil, err
+	}
+	f = &File{opts: opts, dir: dir, hook: hook, concurrent: opts.Concurrent, recovered: from == fromBuckets}
+	if f.alpha, f.opts.BucketCapacity, err = f.install(e); err != nil {
+		return nil, err
+	}
+	if fs != nil {
+		f.setRecordLimit()
+	}
+	if dir != "" && (from == fromRecords || from == fromBuckets) {
+		if err := f.syncLocked(); err != nil {
 			return nil, err
 		}
-		if err := f.attachWAL(dev); err != nil {
-			_ = fs.Close()
+	}
+	if dir != "" && (from == fromEmpty || from == fromRecords) {
+		if err := os.Remove(walPath(dir)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, err
 		}
+	}
+	if err := f.attachLog(); err != nil {
+		return nil, err
 	}
 	return f, nil
+}
+
+// install makes e, a core or multilevel engine just built or rebuilt, the
+// file's engine: it attaches the hook, applies the format pin and, over a
+// bucket file, the page budget, and wraps a core engine in the concurrent
+// one when the options ask for it. It returns e's alphabet and bucket
+// capacity. Call before the file is published, or under the exclusive
+// lock.
+func (f *File) install(e engine) (keys.Alphabet, int, error) {
+	v := f.opts.formatVersion()
+	if m, ok := e.(*mlth.File); ok {
+		if f.opts.Concurrent {
+			return m.Alphabet(), m.Capacity(), fmt.Errorf("triehash: %s is a multilevel file; the concurrent engine is a single-level feature", f.dir)
+		}
+		m.SetObsHook(f.hook)
+		m.SetFormat(v)
+		f.multi, f.eng = m, m
+		return m.Alphabet(), m.Capacity(), nil
+	}
+	c := e.(*core.File)
+	c.SetObsHook(f.hook)
+	c.SetFormat(v)
+	if fs := store.AsFileStore(c.Store()); fs != nil {
+		c.SetPageBudget(fs.PayloadSize())
+	}
+	cfg := c.Config()
+	if !f.opts.Concurrent {
+		f.single, f.eng = c, c
+		return cfg.Alphabet, cfg.Capacity, nil
+	}
+	ce, err := core.NewConcurrent(c)
+	if err != nil {
+		return cfg.Alphabet, cfg.Capacity, err
+	}
+	f.conc, f.eng = ce, ce
+	return cfg.Alphabet, cfg.Capacity, nil
 }
 
 // setRecordLimit derives the per-record byte budget from the slot size.
@@ -399,71 +450,57 @@ func (f *File) setRecordLimit() {
 	f.maxRecord = per
 }
 
-// armPersistent points the persistent store at the file's write format
-// and, for the single-level engines (whose writes are byte-gated), arms
-// the page budget with the store's slot payload. An unset or invalid pin
-// leaves every layer at its default (the compact v2 format).
-func (f *File) armPersistent(fs *store.FileStore) {
-	v := f.opts.formatVersion()
-	fs.SetFormat(v)
-	budget := fs.PayloadSize()
-	switch {
-	case f.single != nil:
-		f.single.SetFormat(v)
-		f.single.SetPageBudget(budget)
-	case f.conc != nil:
-		f.conc.SetFormat(v)
-		f.conc.SetPageBudget(budget)
-	case f.multi != nil:
-		f.multi.SetFormat(v)
+// createBuckets makes dir, if needed, and a new bucket file in it whose
+// header records the bucket capacity.
+func createBuckets(dir string, opts Options) (*store.FileStore, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
 	}
+	fs, err := store.CreateFile(filepath.Join(dir, "buckets.th"), opts.SlotBytes)
+	if err != nil {
+		return nil, err
+	}
+	if err := fs.SetCapacityHint(opts.BucketCapacity); err != nil {
+		_ = fs.Close()
+		return nil, err
+	}
+	return fs, nil
 }
 
+// Create returns an in-memory file (a simulated disk with exact access
+// counting, the configuration the paper's experiments use).
+func Create(opts Options) (*File, error) {
+	return create(opts, "", store.NewMem())
+}
+
+// CreateAt creates a persistent file in directory dir (created if needed):
+// bucket slots in dir/buckets.th, trie and metadata in dir/meta.th on
+// Sync or Close.
+func CreateAt(dir string, opts Options) (*File, error) {
+	opts, err := opts.validated()
+	if err != nil {
+		return nil, err
+	}
+	fs, err := createBuckets(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	return create(opts, dir, fs)
+}
+
+// create builds a new, empty file over st in directory dir ("" for an
+// in-memory file).
 func create(opts Options, dir string, st store.Store) (*File, error) {
-	opts = opts.normalize()
-	if !opts.formatVersion().Valid() {
-		return nil, fmt.Errorf("triehash: unknown FormatVersion %d", opts.FormatVersion)
-	}
-	f := &File{opts: opts, alpha: opts.alphabet(), dir: dir}
-	st, f.hook = instrument(st)
-	if opts.PageCapacity > 0 {
-		if opts.Redistribution != RedistNone || opts.RotationMerges {
-			return nil, fmt.Errorf("triehash: redistribution and rotation merges are single-level features")
-		}
-		if opts.Concurrent {
-			return nil, fmt.Errorf("triehash: the concurrent engine is a single-level feature; omit PageCapacity")
-		}
-		m, err := mlth.New(opts.mlthConfig(), st)
-		if err != nil {
-			return nil, err
-		}
-		m.SetObsHook(f.hook)
-		m.SetFormat(opts.formatVersion())
-		f.multi, f.eng = m, m
-		return f, nil
-	}
-	c, err := core.New(opts.coreConfig(), st)
+	opts, err := opts.validated()
 	if err != nil {
 		return nil, err
 	}
-	c.SetObsHook(f.hook)
-	if opts.Concurrent {
-		return f.adoptConcurrent(c)
-	}
-	f.single, f.eng = c, c
-	return f, nil
-}
-
-// adoptConcurrent wraps a freshly built (or reopened) core engine in the
-// concurrent one and installs it as the file's engine.
-func (f *File) adoptConcurrent(c *core.File) (*File, error) {
-	ce, err := core.NewConcurrent(c)
-	if err != nil {
-		return nil, err
-	}
-	f.concurrent = true
-	f.conc, f.eng = ce, ce
-	return f, nil
+	return assemble(opts, dir, st, fromEmpty, func(st store.Store) (engine, error) {
+		if opts.PageCapacity > 0 {
+			return mlth.New(opts.mlthConfig(), st)
+		}
+		return core.New(opts.coreConfig(), st)
+	})
 }
 
 // BulkLoad builds a file in one pass from records supplied in strictly
@@ -473,80 +510,28 @@ func (f *File) adoptConcurrent(c *core.File) (*File, error) {
 // the bucket boundaries, arriving balanced. dir = "" builds in memory.
 // next returns one record at a time and ok=false at the end.
 func BulkLoad(dir string, opts Options, fill float64, next func() (key string, value []byte, ok bool)) (*File, error) {
-	opts = opts.normalize()
+	opts, err := opts.validated()
+	if err != nil {
+		return nil, err
+	}
 	if opts.PageCapacity > 0 {
 		return nil, fmt.Errorf("triehash: bulk loading builds a single-level trie; omit PageCapacity")
 	}
-	var fs *store.FileStore
+	cfg := opts.coreConfig()
 	var st store.Store = store.NewMem()
 	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-		var err error
-		fs, err = store.CreateFile(filepath.Join(dir, "buckets.th"), opts.SlotBytes)
+		fs, err := createBuckets(dir, opts)
 		if err != nil {
 			return nil, err
 		}
-		if err := fs.SetCapacityHint(opts.BucketCapacity); err != nil {
-			_ = fs.Close()
-			return nil, err
-		}
-		fs.SetFormat(opts.formatVersion())
-		st = fs
-	}
-	st = wrapCache(opts, st)
-	st, hook := instrument(st)
-	cfg := opts.coreConfig()
-	if fs != nil {
 		// Persistent loads pack against the slot payload as well as the
 		// record count, so a run of large records cannot overflow a slot.
 		cfg.PageBudget = fs.PayloadSize()
+		st = fs
 	}
-	c, err := core.BulkLoad(cfg, st, fill, next)
-	if err != nil {
-		_ = st.Close() // the load error takes precedence
-		return nil, err
-	}
-	c.SetObsHook(hook)
-	f := &File{opts: opts, alpha: opts.alphabet(), dir: dir, hook: hook}
-	if opts.Concurrent {
-		if _, err := f.adoptConcurrent(c); err != nil {
-			_ = st.Close()
-			return nil, err
-		}
-	} else {
-		f.single, f.eng = c, c
-	}
-	if dir != "" {
-		f.armPersistent(fs)
-		f.setRecordLimit()
-		if err := f.syncLocked(); err != nil {
-			_ = f.eng.Store().Close() // the sync error takes precedence
-			return nil, err
-		}
-		// Same fresh-file rule as CreateAt: discard any stale log.
-		if err := os.Remove(walPath(dir)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			_ = f.eng.Store().Close()
-			return nil, err
-		}
-	}
-	if opts.WAL {
-		var dev wal.Device = wal.NewMem()
-		if dir != "" {
-			fd, err := wal.OpenFileDevice(walPath(dir))
-			if err != nil {
-				_ = f.eng.Store().Close()
-				return nil, err
-			}
-			dev = fd
-		}
-		if err := f.attachWAL(dev); err != nil {
-			_ = f.eng.Store().Close()
-			return nil, err
-		}
-	}
-	return f, nil
+	return assemble(opts, dir, st, fromRecords, func(st store.Store) (engine, error) {
+		return core.BulkLoad(cfg, st, fill, next)
+	})
 }
 
 // RecoverAt rebuilds a persistent file whose metadata (dir/meta.th) was
@@ -559,13 +544,19 @@ func BulkLoad(dir string, opts Options, fill float64, next func() (key string, v
 // lower bound — a never-filled file recovers with earlier splits, which
 // is safe). The recovered file continues under the THCL variant, and the
 // rebuilt metadata is written back before returning. opts.CacheFrames
-// places a buffer pool in front of it, as on OpenAtWith.
+// places a buffer pool in front of it, as on OpenAtWith. When dir holds a
+// log, it is replayed on top of the rebuild: the operations committed
+// after the buckets last reached the medium.
 //
 // Buckets whose slots no longer read back (torn writes, bit rot) are
 // skipped: the rebuilt trie serves every surviving record, but the file
 // fails Check until Scrub quarantines the damaged slots.
 func RecoverAt(dir string, opts Options) (*File, error) {
-	if opts.PageCapacity > 0 {
+	o, err := opts.validated()
+	if err != nil {
+		return nil, err
+	}
+	if o.PageCapacity > 0 {
 		return nil, fmt.Errorf("triehash: recovery of multilevel files is not supported (rebuild yields a single-level trie; open it without PageCapacity)")
 	}
 	fs, err := store.OpenFile(filepath.Join(dir, "buckets.th"))
@@ -574,47 +565,19 @@ func RecoverAt(dir string, opts Options) (*File, error) {
 	}
 	if opts.BucketCapacity == 0 {
 		if h := fs.CapacityHint(); h > 0 {
-			opts.BucketCapacity = h
+			o.BucketCapacity = h
 		} else if b := fullestBucket(fs); b > 0 {
-			opts.BucketCapacity = b
+			o.BucketCapacity = b
 		}
 	}
-	opts = opts.normalize()
-	opts.SlotBytes = fs.SlotSize()
-	st, hook := instrument(wrapCache(opts, fs))
-	c, err := core.Recover(opts.coreConfig(), st)
-	if err != nil {
-		_ = fs.Close() // the recovery error takes precedence
-		return nil, err
-	}
-	c.SetObsHook(hook)
-	if fs.CapacityHint() == 0 {
-		// Repair the missing redundancy while we are here (pre-hint file).
-		_ = fs.SetCapacityHint(c.Config().Capacity)
-	}
-	f := &File{opts: opts, alpha: opts.alphabet(), dir: dir, hook: hook, recovered: true}
-	if opts.Concurrent {
-		if _, err := f.adoptConcurrent(c); err != nil {
-			_ = fs.Close()
-			return nil, err
+	return assemble(o, dir, fs, fromBuckets, func(st store.Store) (engine, error) {
+		c, err := core.Recover(o.coreConfig(), st)
+		if err == nil && fs.CapacityHint() == 0 {
+			// Repair the missing redundancy while we are here (pre-hint file).
+			_ = fs.SetCapacityHint(c.Config().Capacity)
 		}
-	} else {
-		f.single, f.eng = c, c
-	}
-	f.armPersistent(fs)
-	f.setRecordLimit()
-	if err := f.syncLocked(); err != nil {
-		_ = f.eng.Store().Close() // the sync error takes precedence
-		return nil, err
-	}
-	// The rebuild served tier 3 (bucket bounds); the log, when present,
-	// now restores tier 1 on top of it — the operations committed after
-	// the buckets last hit the medium.
-	if err := f.maybeAttachWALAt(dir, opts); err != nil {
-		_ = f.eng.Store().Close()
-		return nil, err
-	}
-	return f, nil
+		return c, err
+	})
 }
 
 // fullestBucket scans the store for the largest surviving record count —
@@ -652,102 +615,69 @@ func OpenAt(dir string) (*File, error) {
 // for a buffer pool, Concurrent for the /VID87/ engine, WAL and its
 // checkpoint and format choices — and the rest of opts is ignored.
 func OpenAtWith(dir string, opts Options) (*File, error) {
-	meta, err := os.ReadFile(filepath.Join(dir, "meta.th"))
+	opts = Options{
+		CacheFrames: opts.CacheFrames, Concurrent: opts.Concurrent, WAL: opts.WAL,
+		CheckpointBytes: opts.CheckpointBytes, FormatVersion: opts.FormatVersion,
+	}
+	f, cause := reopen(dir, opts)
+	if !errors.Is(cause, errNeedsSalvage) {
+		return f, cause
+	}
+	f, err := RecoverAt(dir, opts)
 	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
-		return salvageAt(dir, opts, err)
+		return nil, fmt.Errorf("triehash: %s: metadata unusable (%v) and salvage failed: %w", dir, cause, err)
+	}
+	return f, nil
+}
+
+// errNeedsSalvage marks a file OpenAtWith must rebuild from its buckets:
+// its metadata is missing or holds no file, or its log must replay over
+// buckets the multilevel trie no longer matches (canonicalizing them needs
+// Scrub, which multilevel files do not support).
+var errNeedsSalvage = errors.New("triehash: salvage needed")
+
+// reopen reattaches dir's metadata to its bucket file, failing with
+// errNeedsSalvage when only a rebuild from the buckets can open it. A
+// metadata version newer than this build is not damage: the bytes are
+// intact and a future build owns them, so reopen refuses it rather than
+// salvage, which would rebuild (and overwrite) a file this build cannot
+// faithfully read.
+func reopen(dir string, opts Options) (*File, error) {
+	o, err := opts.validated()
+	if err != nil {
+		return nil, err
+	}
+	meta, err := os.ReadFile(filepath.Join(dir, "meta.th"))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("%w: %v", errNeedsSalvage, err)
+	}
+	if err != nil {
+		return nil, err
 	}
 	fs, err := store.OpenFile(filepath.Join(dir, "buckets.th"))
 	if err != nil {
 		return nil, err
 	}
-	st, hook := instrument(wrapCache(opts, fs))
-	f := &File{dir: dir, hook: hook}
-	c, cerr := core.Open(meta, st)
-	if cerr == nil {
-		fs.ClaimReferenced(c.BucketAddrs())
-		c.SetObsHook(hook)
-		f.alpha = c.Config().Alphabet
-		f.opts = Options{
-			BucketCapacity: c.Config().Capacity, SlotBytes: fs.SlotSize(),
-			CacheFrames: opts.CacheFrames, Concurrent: opts.Concurrent, WAL: opts.WAL,
-			CheckpointBytes: opts.CheckpointBytes, FormatVersion: opts.FormatVersion,
+	return assemble(o, dir, fs, fromMeta, func(st store.Store) (engine, error) {
+		var unknown *format.UnknownVersionError
+		c, err := core.Open(meta, st)
+		if err == nil {
+			fs.ClaimReferenced(c.BucketAddrs())
+			return c, nil
 		}
-		if opts.Concurrent {
-			if _, err := f.adoptConcurrent(c); err != nil {
-				_ = fs.Close()
-				return nil, err
-			}
-		} else {
-			f.single, f.eng = c, c
+		if errors.As(err, &unknown) {
+			return nil, fmt.Errorf("triehash: open %s: %w", dir, err)
 		}
-		f.armPersistent(fs)
-		f.setRecordLimit()
-		if err := f.maybeAttachWALAt(dir, opts); err != nil {
-			_ = fs.Close()
-			return nil, err
+		m, err := mlth.Open(meta, st)
+		if err == nil {
+			fs.ClaimReferenced(m.BucketAddrs())
+			return m, nil
 		}
-		return f, nil
-	}
-	// A metadata version newer than this build is NOT damage: the bytes
-	// are intact and a future build owns them. Refuse to open rather than
-	// fall through to salvage, which would rebuild (and overwrite) a file
-	// this build cannot faithfully read.
-	var unknown *format.UnknownVersionError
-	if errors.As(cerr, &unknown) {
-		_ = fs.Close()
-		return nil, fmt.Errorf("triehash: open %s: %w", dir, cerr)
-	}
-	m, merr := mlth.Open(meta, st)
-	if merr != nil {
-		_ = fs.Close() // salvage reopens the bucket file itself
-		if errors.As(merr, &unknown) {
-			return nil, fmt.Errorf("triehash: open %s: %w", dir, merr)
+		if errors.As(err, &unknown) {
+			return nil, fmt.Errorf("triehash: open %s: %w", dir, err)
 		}
-		return salvageAt(dir, opts, fmt.Errorf("%s holds neither a single-level nor a multilevel file: %w", dir, merr))
-	}
-	if opts.Concurrent {
-		_ = fs.Close()
-		return nil, fmt.Errorf("triehash: %s is a multilevel file; the concurrent engine is a single-level feature", dir)
-	}
-	fs.ClaimReferenced(m.BucketAddrs())
-	m.SetObsHook(hook)
-	f.multi, f.eng = m, m
-	f.alpha = m.Alphabet()
-	f.opts = Options{
-		BucketCapacity: m.Capacity(), SlotBytes: fs.SlotSize(),
-		WAL: opts.WAL, CheckpointBytes: opts.CheckpointBytes,
-		FormatVersion: opts.FormatVersion,
-	}
-	f.armPersistent(fs)
-	f.setRecordLimit()
-	if err := f.maybeAttachWALAt(dir, opts); err != nil {
-		_ = fs.Close()
-		if errors.Is(err, errWALNeedsSalvage) {
-			// The log demands replay over buckets the paged trie no longer
-			// matches; multilevel files cannot Scrub in place, so take the
-			// same path a damaged multilevel metadata file takes.
-			return salvageAt(dir, opts, err)
-		}
-		return nil, err
-	}
-	return f, nil
-}
-
-// salvageAt is OpenAt's fallback when the metadata is lost: reconstruct
-// from the buckets, reporting both failures if even that is impossible.
-func salvageAt(dir string, opts Options, cause error) (*File, error) {
-	f, err := RecoverAt(dir, Options{
-		CacheFrames: opts.CacheFrames, Concurrent: opts.Concurrent,
-		WAL: opts.WAL, CheckpointBytes: opts.CheckpointBytes,
-		FormatVersion: opts.FormatVersion,
+		return nil, fmt.Errorf("%w: %s holds neither a single-level nor a multilevel file: %v", errNeedsSalvage, dir, err)
 	})
-	if err != nil {
-		return nil, fmt.Errorf("triehash: %s: metadata unusable (%v) and salvage failed: %w", dir, cause, err)
-	}
-	return f, nil
 }
 
 // ErrRecordTooLarge is returned by Put on a persistent file when

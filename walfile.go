@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"triehash/internal/format"
 	"triehash/internal/obs"
 	"triehash/internal/wal"
 )
@@ -61,29 +60,12 @@ func (f *File) WALStats() (s WALStats, ok bool) {
 // directory.
 func walPath(dir string) string { return filepath.Join(dir, "wal.th") }
 
-// walFormat is the framing version the file's write-ahead log should run
-// at: the Options pin when one was given, else the default. A log found
-// at the other version keeps its on-disk framing until the upgrade
-// checkpoint rewrites it.
-func (f *File) walFormat() format.Version {
-	if v := f.opts.formatVersion(); v.Valid() {
-		return v
-	}
-	return format.Default
-}
-
-// errWALNeedsSalvage reports a multilevel file whose log demands replay
-// over an inconsistent bucket state — canonicalization needs Scrub, which
-// multilevel files do not support, so OpenAt falls back to salvage (the
-// same demotion a damaged multilevel metadata file takes).
-var errWALNeedsSalvage = errors.New("triehash: wal replay needs salvage")
-
 // attachWAL opens the log on dev, replays any surviving records into the
 // engine, folds the replayed state with an immediate checkpoint, and
 // leaves the log attached as the file's hot durability path. Call before
 // the file is published (no locking).
 func (f *File) attachWAL(dev wal.Device) error {
-	l, recs, tail, err := wal.Open(dev, f.walFormat(), f.hook)
+	l, recs, tail, err := wal.Open(dev, f.opts.formatVersion(), f.hook)
 	if err != nil {
 		return err
 	}
@@ -101,9 +83,6 @@ func (f *File) attachWAL(dev wal.Device) error {
 	if len(pending) > 0 || tail.Damaged {
 		if err := f.replayWAL(pending); err != nil {
 			_ = l.Close() // the replay error takes precedence
-			if errors.Is(err, errWALNeedsSalvage) {
-				return err
-			}
 			return fmt.Errorf("triehash: wal replay: %w", err)
 		}
 		// Recorded rather than emitted: the observer attaches after open,
@@ -115,9 +94,6 @@ func (f *File) attachWAL(dev wal.Device) error {
 	}
 	f.log = l
 	f.opts.WAL = true
-	if f.opts.CheckpointBytes <= 0 {
-		f.opts = f.opts.normalize()
-	}
 	if err := f.checkpointLocked(); err != nil {
 		f.log = nil
 		_ = l.Close() // the checkpoint error takes precedence
@@ -126,17 +102,26 @@ func (f *File) attachWAL(dev wal.Device) error {
 	return nil
 }
 
-// maybeAttachWALAt attaches the log of a persistent file: always when
-// opts.WAL asks for one, and automatically when dir/wal.th exists — a
-// file that chose the WAL contract at creation keeps it (and gets its
-// crash replay) even when the reopener forgot the flag.
-func (f *File) maybeAttachWALAt(dir string, opts Options) error {
-	path := walPath(dir)
-	if !opts.WAL {
-		if _, err := os.Stat(path); err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return nil
-			}
+// attachLog attaches the file's write-ahead log: in memory when an
+// in-memory file asks for one, and dir/wal.th when a persistent file asks
+// for one or already has one — a file that chose the WAL contract at
+// creation keeps it (and gets its crash replay) even when the reopener
+// forgot the flag.
+func (f *File) attachLog() error {
+	if f.dir == "" {
+		if !f.opts.WAL {
+			return nil
+		}
+		// An in-memory WAL buys nothing across a process crash, but it
+		// exercises the exact logging path, so tests and differential
+		// comparisons run it against the real durability code.
+		return f.attachWAL(wal.NewMem())
+	}
+	path := walPath(f.dir)
+	if !f.opts.WAL {
+		if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
+			return nil
+		} else if err != nil {
 			return err
 		}
 	}
@@ -168,7 +153,7 @@ func (f *File) maybeAttachWALAt(dir string, opts Options) error {
 func (f *File) replayWAL(recs []wal.Record) error {
 	if err := f.CheckInvariants(); err != nil {
 		if f.multi != nil {
-			return fmt.Errorf("%w: %v", errWALNeedsSalvage, err)
+			return fmt.Errorf("%w: %v", errNeedsSalvage, err)
 		}
 		if _, serr := f.Scrub(); serr != nil {
 			return errors.Join(err, serr)
