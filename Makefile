@@ -79,9 +79,9 @@ bench-format:
 # The exhaustive crash-point harness: power-cut the canonical workload at
 # every journal position (clean, torn, bit-flipped, zeroed) and verify the
 # durability contract after reopening — the unlogged workload and the
-# WAL-driven one (log appends, checkpoints, truncations all under the
-# cut generator). Deterministic — no clocks, no entropy — so a failure
-# is a bug, not flake.
+# WAL-driven one (log appends, checkpoint rewinds and markers, the close
+# trim, all under the cut generator). Deterministic — no clocks, no
+# entropy — so a failure is a bug, not flake.
 crash:
 	$(GO) test -run 'TestCrashPoints$$|TestWALCrashPoints$$' -v ./internal/core/
 
@@ -96,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz FuzzTrieDecode -fuzztime 15s ./internal/trie/
 	$(GO) test -fuzz FuzzBucketDecodeV2 -fuzztime 15s ./internal/bucket/
 	$(GO) test -run '^$$' -fuzz FuzzSearchPageMatchesDecode -fuzztime 15s ./internal/bucket/
+	$(GO) test -run '^$$' -fuzz FuzzScanRecycled -fuzztime 15s ./internal/wal/
 	$(GO) test -fuzz FuzzTrieDecodeV2 -fuzztime 15s ./internal/trie/
 
 clean:

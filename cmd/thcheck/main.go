@@ -4,11 +4,14 @@
 // Exit status 0 means the file is sound.
 //
 // When the directory holds a write-ahead log (wal.th), thcheck scans it
-// first and reports its length, record counts, the last checkpoint LSN,
-// and a torn tail if the crash left one. Opening the file then replays
-// the pending records and folds the log — that is the open contract, the
-// same replay every reader gets — so a dirty log is repaired by the
-// check itself; thcheck's job is to say out loud what the replay did.
+// first and reports its live length (where the scan stopped) and the
+// file's length, record counts, the last checkpoint LSN, and a torn tail
+// if the crash left one. A log caught mid-run is longer than its live
+// part: past the end frame lie older generations' frames, which the log
+// overwrites in place. Opening the file then replays the pending records
+// and folds the log — that is the open contract, the same replay every
+// reader gets — so a dirty log is repaired by the check itself; thcheck's
+// job is to say out loud what the replay did.
 //
 // With -recover it first rebuilds lost metadata from the logical-path
 // bounds stored in every bucket's header (the /TOR83/ reconstruction).
@@ -63,8 +66,8 @@ func reportWAL(dir string) bool {
 		}
 		pending++
 	}
-	fmt.Printf("wal:         %d bytes, v%d framing, %d records (%d pending past checkpoint LSN %d)\n",
-		len(data), ver, len(recs), pending, lastCkpt)
+	fmt.Printf("wal:         %d bytes live of %d on the medium, v%d framing, %d records (%d pending past checkpoint LSN %d)\n",
+		tail.ValidSize, len(data), ver, len(recs), pending, lastCkpt)
 	if tail.Damaged {
 		fmt.Printf("wal tail:    damaged at byte %d: %s (%d bytes beyond; open truncates them)\n",
 			tail.ValidSize, tail.Reason, tail.Remaining)

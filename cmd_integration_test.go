@@ -104,14 +104,7 @@ func TestCommandLineTools(t *testing.T) {
 	}
 	driveWALStream(t, wf, 120)
 	crashed := copyWALDir(t, db3) // power cut: the live handle never closes
-	walFile := filepath.Join(crashed, "wal.th")
-	info, err := os.Stat(walFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(walFile, info.Size()-3); err != nil {
-		t.Fatal(err)
-	}
+	tearLastRecord(t, filepath.Join(crashed, "wal.th"))
 	out = run(true, "", "thcheck", crashed)
 	for _, needle := range []string{"pending past checkpoint", "wal tail:    damaged", "wal replay:", "wal now:     folded", "integrity:   ok"} {
 		if !strings.Contains(out, needle) {

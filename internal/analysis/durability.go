@@ -11,16 +11,18 @@ import (
 // leaves them in the page cache, where a power cut eats them), a
 // rename installing a *.th file is followed by store.SyncDir on the
 // parent directory (the rename itself is metadata the directory must
-// flush), and a write-ahead-log truncation (TruncateTo) is followed by a
-// Sync in the same function — an unsynced truncation can resurrect
-// discarded log records after a crash, replaying operations a checkpoint
-// already folded. A bare os.WriteFile, an unaccompanied os.Rename on a
-// *.th path, or an unsynced log truncation is exactly the torn-state bug
-// the crash harness exists to catch, so it fails the lint gate instead of
-// waiting for a power cut.
+// flush), and a write-ahead-log truncation (TruncateTo) or rewind
+// (Rewind) is followed by a Sync in the same function — an unsynced
+// truncation can resurrect discarded log records after a crash, and an
+// unsynced rewind leaves the new generation's marker buffered over the
+// previous generation's frames, so a crash that tears it can replay
+// operations a checkpoint already folded. A bare os.WriteFile, an
+// unaccompanied os.Rename on a *.th path, or an unsynced log truncation
+// or rewind is exactly the torn-state bug the crash harness exists to
+// catch, so it fails the lint gate instead of waiting for a power cut.
 var Durability = &Analyzer{
 	Name: "durability",
-	Doc:  "flag os.WriteFile/os.Rename on *.th paths and unsynced wal truncations that skip the fsync discipline",
+	Doc:  "flag os.WriteFile/os.Rename on *.th paths and unsynced wal truncations and rewinds that skip the fsync discipline",
 	Run:  runDurability,
 }
 
@@ -34,7 +36,7 @@ func runDurability(pass *Pass) {
 			syncsDir := false
 			syncs := false
 			var renames []*ast.CallExpr
-			var truncates []*ast.CallExpr
+			var truncates, rewinds []*ast.CallExpr
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -57,6 +59,8 @@ func runDurability(pass *Pass) {
 					switch name {
 					case "TruncateTo":
 						truncates = append(truncates, call)
+					case "Rewind":
+						rewinds = append(rewinds, call)
 					case "Sync":
 						syncs = true
 					}
@@ -69,13 +73,17 @@ func runDurability(pass *Pass) {
 						"os.Rename installing a *.th file without store.SyncDir on the parent directory: the rename is not durable until the directory is fsynced")
 				}
 			}
-			// A truncation inside a Device implementation is the primitive
-			// itself, not a use of it; only call sites outside the device
-			// (Log code, recovery paths) owe the pairing.
+			// A truncation or rewind inside a Device implementation is the
+			// primitive itself, not a use of it; only call sites outside
+			// the device (Log code, recovery paths) owe the pairing.
 			if !syncs && !isDeviceMethod(pass, fn) {
 				for _, call := range truncates {
 					pass.Reportf(call.Pos(),
 						"wal TruncateTo without a Sync in the same function: the truncation is buffered, and a crash can resurrect log records a checkpoint already folded")
+				}
+				for _, call := range rewinds {
+					pass.Reportf(call.Pos(),
+						"wal Rewind without a Sync in the same function: the next generation's marker is buffered over the previous generation's frames, and a crash that tears it can replay log records a checkpoint already folded")
 				}
 			}
 		}

@@ -12,7 +12,7 @@ import (
 // exactly these errors to prove the layers above propagate them. The WAL
 // surface is held to the same bar — a dropped Append or Commit error is
 // an operation the caller believes durable and the log never promised,
-// and a dropped Checkpoint error can truncate records that were never
+// and a dropped Checkpoint error can rewind over records that were never
 // folded. Call sites that genuinely cannot act on the error — cleanup on
 // an already-failing path — must say so with an explicit `_ =` discard,
 // which this analyzer (like errcheck) accepts.
@@ -53,6 +53,7 @@ var walErrMethods = map[string]bool{
 	"Checkpoint": true,
 	"Sync":       true,
 	"TruncateTo": true,
+	"Rewind":     true,
 	"Contents":   true,
 	"Close":      true,
 }

@@ -46,8 +46,9 @@ func otherFiles(dir string, b []byte) error {
 // type name, like the store primitives above are matched by function
 // name).
 type Device interface {
-	Append(p []byte) error
+	Append(p []byte, live int) error
 	Sync() error
+	Rewind(n int64) error
 	TruncateTo(n int64) error
 }
 
@@ -55,23 +56,43 @@ func unsyncedTruncate(d Device) error {
 	return d.TruncateTo(0) // want `wal TruncateTo without a Sync in the same function`
 }
 
-// checkpointIdiom is the sanctioned pairing: truncate, rewrite the
-// marker, sync — the truncation becomes durable with the sync.
-func checkpointIdiom(d Device, marker []byte) error {
-	if err := d.TruncateTo(0); err != nil {
+// unsyncedRewind writes the next generation's marker over the previous
+// generation and never syncs it.
+func unsyncedRewind(d Device, marker []byte) error {
+	if err := d.Rewind(0); err != nil { // want `wal Rewind without a Sync in the same function`
 		return err
 	}
-	if err := d.Append(marker); err != nil {
+	return d.Append(marker, len(marker))
+}
+
+// repairIdiom is the sanctioned pairing for a tail repair: truncate,
+// sync — the truncation becomes durable with the sync.
+func repairIdiom(d Device, n int64) error {
+	if err := d.TruncateTo(n); err != nil {
 		return err
 	}
 	return d.Sync()
 }
 
-// MemDevice is a device implementation: its own TruncateTo is the
-// primitive being defined, not a use of it; not flagged.
+// checkpointIdiom is the sanctioned pairing for a checkpoint: rewind,
+// rewrite the marker, sync.
+func checkpointIdiom(d Device, marker []byte) error {
+	if err := d.Rewind(0); err != nil {
+		return err
+	}
+	if err := d.Append(marker, len(marker)); err != nil {
+		return err
+	}
+	return d.Sync()
+}
+
+// MemDevice is a device implementation: its own TruncateTo and Rewind are
+// the primitives being defined, not uses of them; not flagged.
 type MemDevice struct{ buf []byte }
 
 func (d *MemDevice) TruncateTo(n int64) error {
 	d.buf = d.buf[:n]
 	return nil
 }
+
+func (d *MemDevice) Rewind(n int64) error { return d.TruncateTo(n) }

@@ -70,8 +70,9 @@ func (*Log) Checkpoint() error                                        { return n
 func (*Log) Close() error                                             { return nil }
 
 type Device interface {
-	Append(p []byte) error
+	Append(p []byte, live int) error
 	Sync() error
+	Rewind(n int64) error
 	TruncateTo(n int64) error
 	Close() error
 }
@@ -82,6 +83,7 @@ func dropWAL(l *Log, d Device) {
 	l.Checkpoint()        // want `error from l\.Checkpoint discarded.*non-durable`
 	d.Sync()              // want `error from d\.Sync discarded.*non-durable`
 	d.TruncateTo(0)       // want `error from d\.TruncateTo discarded.*non-durable`
+	d.Rewind(0)           // want `error from d\.Rewind discarded.*non-durable`
 }
 
 func deferredWAL(l *Log) {

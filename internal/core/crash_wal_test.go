@@ -16,12 +16,16 @@ import (
 // durability contract. The workload drives the engine exactly like the
 // public layer does with Options.WAL on — apply to the engine, append to
 // the log, commit (fsync) — over the shipped FileStore and wal.FileDevice
-// on one CrashDisk, whose journal carries log appends and truncations in
-// the same mutation timeline as the slot writes. Every journal position
-// is therefore a cut inside a bucket write, between an engine apply and
-// its log append, inside the append itself (torn, bit-flipped or zeroed
-// mid-frame), or inside a checkpoint's truncate-then-mark sequence — and
-// at every one of them the recovery that the public layer performs
+// on one CrashDisk, whose journal carries the log's writes in the same
+// mutation timeline as the slot writes. A checkpoint rewinds the log, so
+// after the first one every append and marker overwrites an older
+// generation's frames in place, and the medium holds a dead tail past the
+// live end. Every journal position is therefore a cut inside a bucket
+// write, between an engine apply and its log append, inside the append
+// itself (torn, bit-flipped or zeroed mid-frame, over stale frames),
+// inside a checkpoint's marker write over the previous generation, or at
+// the close trim — and at every one of them the recovery that the public
+// layer performs
 // (canonicalize the bucket state, then replay the log's post-checkpoint
 // suffix) must restore every COMMITTED operation, not merely every
 // checkpointed one.
@@ -317,8 +321,8 @@ func (r *walCrashRun) verifyWALCut(t *testing.T, cfg Config, k int, kind store.C
 
 // TestWALCrashPoints enumerates every journal position of the logged
 // workload — bucket writes, log appends (torn, flipped, zeroed),
-// checkpoint truncations — for both engines, and demands convergent
-// recovery of every committed operation.
+// checkpoint markers written over the previous generation — for both
+// engines, and demands convergent recovery of every committed operation.
 func TestWALCrashPoints(t *testing.T) {
 	configs := []struct {
 		name       string

@@ -4,12 +4,17 @@
 // single log device; a Put is durable once its record is fsynced, which a
 // group committer batches across concurrent writers so N in-flight
 // operations share one fsync. Periodic checkpoints fold the log into the
-// bucket pages (flush + metadata install) and truncate it, so replay on
-// open is bounded by the checkpoint interval. Replay is idempotent by
-// construction — records are logical upserts and deletes — and a torn
-// tail (the crash signature of an in-flight append) is detected by the
-// frame CRC and truncated; only damage *before* the valid tail demotes
-// recovery to the salvage scan.
+// bucket pages (flush + metadata install) and rewind it: the next
+// generation starts at byte 0 and overwrites the last one in place, so a
+// commit's fsync rewrites blocks the file already holds instead of growing
+// it. Every append is followed on the medium by an end frame that marks
+// the live end, and LSNs run consecutively through a generation, so a scan
+// stops at the live end and never replays a stale frame of an older
+// generation. Replay on open is bounded by the checkpoint interval and is
+// idempotent by construction — records are logical upserts and deletes —
+// and a torn tail (the crash signature of an in-flight append) is detected
+// by the frame CRC and truncated; only damage *before* the valid tail
+// demotes recovery to the salvage scan.
 package wal
 
 import (
@@ -29,10 +34,16 @@ const (
 	// OpDelete removes Key.
 	OpDelete Op = 2
 	// OpCheckpoint marks a fold point: the record's CheckpointLSN is the
-	// last LSN whose effects the bucket pages durably contain. A truncated
+	// last LSN whose effects the bucket pages durably contain. A rewound
 	// log starts with exactly one checkpoint record, which carries the LSN
-	// sequence across truncations.
+	// sequence across generations.
 	OpCheckpoint Op = 3
+	// OpEnd marks the live end of the log. Its LSN is the next record's:
+	// every append writes one after its frame, and the next append
+	// overwrites it. A scan stops cleanly at an end frame, so the bytes a
+	// rewound log still holds past it — older generations' frames — are
+	// never read as records.
+	OpEnd Op = 4
 )
 
 func (o Op) String() string {
@@ -43,6 +54,8 @@ func (o Op) String() string {
 		return "delete"
 	case OpCheckpoint:
 		return "checkpoint"
+	case OpEnd:
+		return "end"
 	}
 	return fmt.Sprintf("Op(%d)", byte(o))
 }
@@ -68,6 +81,7 @@ type Record struct {
 //	u32 payload length | u32 crc32(payload) | payload
 //	payload: u64 lsn | u8 op | u32 keylen | key | value   (put/delete)
 //	         u64 lsn | u8 op | u64 checkpointLSN          (checkpoint)
+//	         u64 lsn | u8 op                              (end)
 //
 // A version-2 log opens with an 8-byte header (u32 magic "TWAL" | u8
 // version | 3 zero bytes) followed by uvarint frames:
@@ -75,12 +89,14 @@ type Record struct {
 //	uvarint payload length | u32 crc32(payload) | payload
 //	payload: uvarint lsn | u8 op | uvarint keylen | key | value
 //	         uvarint lsn | u8 op | uvarint checkpointLSN
+//	         uvarint lsn | u8 op
 //
 // The magic cannot open a v1 log: a v1 log starts with a frame's payload
 // length, and no real payload is 1.2 GB. In either version the
 // length/CRC header makes a torn append self-announcing: a partial frame
 // either has too few bytes for its declared length or fails its
-// checksum, and scanning stops there.
+// checksum, and scanning stops there. No frame is all zeros (every
+// payload holds its op byte), so a zeroed chunk never reads as one.
 const (
 	frameHeader = 8
 	logMagic    = 0x4C415754 // "TWAL" on disk (little-endian)
@@ -97,45 +113,60 @@ func appendLogHeader(buf []byte, v format.Version) []byte {
 }
 
 // appendFrame serializes r onto buf in the given log version and returns
-// the extended slice.
+// the extended slice. The payload is built in place after a reserved
+// header, so a frame costs no allocation once buf has grown to size.
 func appendFrame(buf []byte, r Record, v format.Version) []byte {
-	var payload []byte
-	switch {
-	case v == format.V2 && r.Op == OpCheckpoint:
-		payload = binary.AppendUvarint(nil, r.LSN)
-		payload = append(payload, byte(r.Op))
-		payload = binary.AppendUvarint(payload, r.CheckpointLSN)
-	case v == format.V2:
-		payload = binary.AppendUvarint(nil, r.LSN)
-		payload = append(payload, byte(r.Op))
-		payload = binary.AppendUvarint(payload, uint64(len(r.Key)))
-		payload = append(payload, r.Key...)
-		payload = append(payload, r.Value...)
-	case r.Op == OpCheckpoint:
-		payload = make([]byte, 8+1+8)
-		binary.LittleEndian.PutUint64(payload, r.LSN)
-		payload[8] = byte(r.Op)
-		binary.LittleEndian.PutUint64(payload[9:], r.CheckpointLSN)
-	default:
-		payload = make([]byte, 8+1+4+len(r.Key)+len(r.Value))
-		binary.LittleEndian.PutUint64(payload, r.LSN)
-		payload[8] = byte(r.Op)
-		binary.LittleEndian.PutUint32(payload[9:], uint32(len(r.Key)))
-		copy(payload[13:], r.Key)
-		copy(payload[13+len(r.Key):], r.Value)
-	}
 	if v == format.V2 {
-		buf = binary.AppendUvarint(buf, uint64(len(payload)))
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-		buf = append(buf, crc[:]...)
-		return append(buf, payload...)
+		n := format.UvarintLen(r.LSN) + 1
+		switch r.Op {
+		case OpCheckpoint:
+			n += format.UvarintLen(r.CheckpointLSN)
+		case OpPut, OpDelete:
+			n += format.UvarintLen(uint64(len(r.Key))) + len(r.Key) + len(r.Value)
+		}
+		buf = binary.AppendUvarint(buf, uint64(n))
+		crcAt := len(buf)
+		buf = append(buf, 0, 0, 0, 0)
+		buf = appendPayload(buf, r, v)
+		binary.LittleEndian.PutUint32(buf[crcAt:], crc32.ChecksumIEEE(buf[crcAt+4:]))
+		return buf
 	}
-	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	at := len(buf)
+	buf = append(buf, make([]byte, frameHeader)...)
+	buf = appendPayload(buf, r, v)
+	payload := buf[at+frameHeader:]
+	binary.LittleEndian.PutUint32(buf[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[at+4:], crc32.ChecksumIEEE(payload))
+	return buf
+}
+
+// appendPayload serializes r's payload onto buf in the given log version.
+func appendPayload(buf []byte, r Record, v format.Version) []byte {
+	if v == format.V2 {
+		buf = binary.AppendUvarint(buf, r.LSN)
+		buf = append(buf, byte(r.Op))
+		switch r.Op {
+		case OpCheckpoint:
+			return binary.AppendUvarint(buf, r.CheckpointLSN)
+		case OpPut, OpDelete:
+			buf = binary.AppendUvarint(buf, uint64(len(r.Key)))
+		default:
+			return buf
+		}
+	} else {
+		buf = binary.LittleEndian.AppendUint64(buf, r.LSN)
+		buf = append(buf, byte(r.Op))
+		switch r.Op {
+		case OpCheckpoint:
+			return binary.LittleEndian.AppendUint64(buf, r.CheckpointLSN)
+		case OpPut, OpDelete:
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Key)))
+		default:
+			return buf
+		}
+	}
+	buf = append(buf, r.Key...)
+	return append(buf, r.Value...)
 }
 
 // decodePayload parses a verified frame payload in the given log version.
@@ -153,6 +184,10 @@ func decodePayload(p []byte, v format.Version) (Record, error) {
 			return Record{}, fmt.Errorf("wal: checkpoint payload is %d bytes, want 17", len(p))
 		}
 		r.CheckpointLSN = binary.LittleEndian.Uint64(p[9:])
+	case OpEnd:
+		if len(p) != 9 {
+			return Record{}, fmt.Errorf("wal: end payload is %d bytes, want 9", len(p))
+		}
 	case OpPut, OpDelete:
 		if len(p) < 13 {
 			return Record{}, fmt.Errorf("wal: record payload truncated to %d bytes", len(p))
@@ -186,6 +221,10 @@ func decodePayloadV2(p []byte) (Record, error) {
 			return Record{}, fmt.Errorf("wal: malformed checkpoint payload")
 		}
 		r.CheckpointLSN = ck
+	case OpEnd:
+		if len(p) != 0 {
+			return Record{}, fmt.Errorf("wal: malformed end payload")
+		}
 	case OpPut, OpDelete:
 		kl, n := format.Uvarint(p)
 		if n == 0 || uint64(len(p)-n) < kl {
@@ -203,8 +242,10 @@ func decodePayloadV2(p []byte) (Record, error) {
 
 // Tail describes where a scan stopped and why.
 type Tail struct {
-	// ValidSize is the byte offset of the end of the last whole, verified
-	// frame — the size a tail repair truncates the log to.
+	// ValidSize is the live length of the log: the byte offset of the end
+	// of the last whole, verified record frame, where the end frame (if
+	// any) starts. It is where appends resume, and the size a tail repair
+	// truncates the log to.
 	ValidSize int64
 	// Damaged reports bytes after ValidSize that do not parse: a torn or
 	// damaged in-flight append (the normal crash signature), or — when
@@ -213,17 +254,22 @@ type Tail struct {
 	// Remaining counts the unparseable bytes.
 	Remaining int64
 	// Reason describes the first failure ("frame truncated", "checksum
-	// mismatch", a payload decode error).
+	// mismatch", "lsn break", a payload decode error).
 	Reason string
 }
 
 // Scan parses the log image in data: every whole frame whose checksum
 // and payload verify, in order, plus the tail state and the log's
 // on-disk version (0 for an empty or headerless-and-frameless image).
-// Scanning stops at the first damaged frame — the bytes beyond it are
-// unrecoverable from the log alone (frame boundaries are lost), which is
-// what demotes recovery to the salvage scan when anything but a clean
-// tail is cut off.
+// A log ends cleanly at EOF (a closed log, or one from an earlier build)
+// or at an end frame whose LSN follows the last record's; the bytes past
+// an end frame are a rewound log's dead tail and are not read. Every
+// record's LSN must be the previous one's plus one: a frame that breaks
+// the sequence is an older generation's, exposed by a torn append, and
+// ends the scan as damage. Scanning stops at the first damaged frame —
+// the bytes beyond it are unrecoverable from the log alone (frame
+// boundaries are lost), which is what demotes recovery to the salvage
+// scan when anything but a clean tail is cut off.
 //
 // A log whose header carries a version this build does not know returns
 // *format.UnknownVersionError. That is NOT tail damage: the bytes are a
@@ -279,6 +325,14 @@ func Scan(data []byte) ([]Record, Tail, format.Version, error) {
 		rec, err := decodePayload(payload, ver)
 		if err != nil {
 			return fail(err.Error())
+		}
+		if len(recs) > 0 {
+			if prev := recs[len(recs)-1].LSN; rec.LSN != prev+1 {
+				return fail(fmt.Sprintf("lsn break: %d after %d", rec.LSN, prev))
+			}
+		}
+		if rec.Op == OpEnd {
+			return recs, Tail{ValidSize: off}, ver, nil
 		}
 		recs = append(recs, rec)
 		off += hdr + n

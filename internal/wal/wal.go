@@ -66,18 +66,20 @@ type Stats struct {
 	// Committed counts records made durable by those fsyncs; Committed /
 	// Fsyncs is the achieved group-commit batching factor.
 	Committed uint64 `json:"committed"`
-	// Checkpoints counts log truncations.
+	// Checkpoints counts log folds (each rewinds the log to a marker).
 	Checkpoints uint64 `json:"checkpoints"`
 	// DurableLSN is the highest LSN known fsynced.
 	DurableLSN uint64 `json:"durable_lsn"`
-	// Size is the current log length in bytes.
+	// Size is the live log length in bytes.
 	Size int64 `json:"size"`
 }
 
 // Open scans the device's existing image, truncates a damaged tail back
 // to the last whole frame (the signature of a crash mid-append), and
 // returns the running log plus the scanned records for the caller to
-// replay. The returned Tail reports whether a repair happened. want is
+// replay. The returned Tail reports whether a repair happened. A clean
+// image is not truncated: appends resume over its end frame, and the
+// dead tail past it stays for later generations to overwrite. want is
 // the frame format new log generations are written with; an existing
 // image keeps its own format until the next Checkpoint rewrites it. A
 // log written by a future build (*format.UnknownVersionError) refuses to
@@ -107,6 +109,8 @@ func Open(dev Device, want format.Version, hook *obs.Hook) (*Log, []Record, Tail
 		if tail.ValidSize == 0 {
 			cur = 0 // the image is empty now; the next write picks the format
 		}
+	} else if err := dev.Rewind(tail.ValidSize); err != nil {
+		return nil, nil, tail, err
 	}
 	l := &Log{dev: dev, hook: hook, nextLSN: 1, cur: cur, want: want}
 	if l.cur == 0 {
@@ -114,7 +118,9 @@ func Open(dev Device, want format.Version, hook *obs.Hook) (*Log, []Record, Tail
 		// for v2 so a rescan parses the frames correctly.
 		l.cur = want
 		if want >= format.V2 {
-			if err := dev.Append(appendLogHeader(nil, want)); err != nil {
+			// The medium is empty, so the header needs no end frame.
+			hdr := appendLogHeader(nil, want)
+			if err := dev.Append(hdr, len(hdr)); err != nil {
 				return nil, nil, tail, err
 			}
 		}
@@ -133,7 +139,8 @@ func Open(dev Device, want format.Version, hook *obs.Hook) (*Log, []Record, Tail
 }
 
 // Append assigns the next LSN, frames the record and writes it to the
-// device (buffered — call Commit to wait for durability). A device
+// device with the end frame behind it (buffered — call Commit to wait for
+// durability). A device
 // failure is sticky: once an append may have left a torn tail, every
 // later append refuses, because records behind a tear would be
 // unrecoverable.
@@ -146,7 +153,7 @@ func (l *Log) Append(op Op, key string, value []byte) (uint64, error) {
 	}
 	lsn := l.nextLSN
 	l.scratch = appendFrame(l.scratch[:0], Record{LSN: lsn, Op: op, Key: key, Value: value}, l.cur)
-	err := l.dev.Append(l.scratch)
+	err := l.appendLocked()
 	if err != nil {
 		l.failed = err
 		l.mu.Unlock()
@@ -225,12 +232,25 @@ func (l *Log) committer() {
 	}
 }
 
-// Checkpoint truncates the log after its contents have been folded into
-// the bucket pages: the caller must have durably installed every effect
-// up to the current append horizon before calling (the public File holds
-// its lock across flush, metadata install and this call). The truncated
-// log restarts with a single fsynced checkpoint record that carries the
-// LSN sequence and the fold point forward.
+// appendLocked writes l.scratch, the frames of one append ending with the
+// record at LSN nextLSN, to the device with the end frame for LSN
+// nextLSN+1 behind them, in one write. The end frame goes into the same
+// reused buffer, so it costs neither a syscall nor an allocation. Call
+// with mu held.
+func (l *Log) appendLocked() error {
+	live := len(l.scratch)
+	l.scratch = appendFrame(l.scratch, Record{LSN: l.nextLSN + 1, Op: OpEnd}, l.cur)
+	return l.dev.Append(l.scratch, live)
+}
+
+// Checkpoint rewinds the log after its contents have been folded into the
+// bucket pages: the caller must have durably installed every effect up to
+// the current append horizon before calling (the public File holds its
+// lock across flush, metadata install and this call). The rewound log
+// restarts at byte 0 with a single fsynced checkpoint record that carries
+// the LSN sequence and the fold point forward, written over the previous
+// generation. Until that record lands, the previous generation still
+// scans whole, and replaying it over the folded state is idempotent.
 func (l *Log) Checkpoint() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -240,12 +260,13 @@ func (l *Log) Checkpoint() error {
 	l.cmu.Lock()
 	folded := l.appended
 	l.cmu.Unlock()
-	if err := l.dev.TruncateTo(0); err != nil {
+	if err := l.dev.Rewind(0); err != nil {
 		return err
 	}
 	// The log restarts from byte zero, so this is the moment the format
-	// upgrades: header (v2+) and checkpoint marker go down in ONE append,
-	// tearing together under a power cut like any single frame.
+	// upgrades: header (v2+), checkpoint marker and end frame go down in
+	// ONE append, tearing together under a power cut like any single
+	// frame.
 	l.cur = l.want
 	lsn := l.nextLSN
 	l.scratch = l.scratch[:0]
@@ -253,7 +274,7 @@ func (l *Log) Checkpoint() error {
 		l.scratch = appendLogHeader(l.scratch, l.cur)
 	}
 	l.scratch = appendFrame(l.scratch, Record{LSN: lsn, Op: OpCheckpoint, CheckpointLSN: folded}, l.cur)
-	if err := l.dev.Append(l.scratch); err != nil {
+	if err := l.appendLocked(); err != nil {
 		l.failed = err
 		return err
 	}
@@ -278,7 +299,7 @@ func (l *Log) Checkpoint() error {
 	return nil
 }
 
-// Size returns the current log length in bytes.
+// Size returns the live log length in bytes.
 func (l *Log) Size() int64 { return l.dev.Size() }
 
 // Format returns the frame format of the log's current on-disk image.
@@ -303,8 +324,11 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// Close stops the committer, makes any buffered appends durable with a
-// final sync, and closes the device.
+// Close stops the committer, trims the medium to the live log, makes any
+// buffered appends durable with a final sync, and closes the device. The
+// trim drops the end frame and the dead tail, so a closed log is exactly
+// its live records; it is skipped when an append or sync failed, since
+// the medium is then suspect and the next open's scan decides.
 func (l *Log) Close() error {
 	l.cmu.Lock()
 	if l.closed {
@@ -312,11 +336,20 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	clean := l.syncErr == nil
 	l.newWork.Broadcast()
 	l.synced.Broadcast()
 	l.cmu.Unlock()
 	l.wg.Wait()
-	err := l.dev.Sync()
+	var err error
+	l.mu.Lock()
+	if clean && l.failed == nil {
+		err = l.dev.TruncateTo(l.dev.Size())
+	}
+	l.mu.Unlock()
+	if serr := l.dev.Sync(); err == nil {
+		err = serr
+	}
 	if cerr := l.dev.Close(); err == nil {
 		err = cerr
 	}

@@ -138,7 +138,7 @@ func TestScanUnknownVersion(t *testing.T) {
 func TestCheckpointUpgradesFormat(t *testing.T) {
 	dev := NewMem()
 	img := appendFrame(nil, Record{LSN: 1, Op: OpPut, Key: "a", Value: []byte("x")}, format.V1)
-	if err := dev.Append(img); err != nil {
+	if err := dev.Append(img, len(img)); err != nil {
 		t.Fatal(err)
 	}
 	l, recs, _, err := Open(dev, format.V2, nil)
@@ -183,7 +183,7 @@ func TestOpenRepairsTornTail(t *testing.T) {
 	img = appendFrame(img, Record{LSN: 7, Op: OpPut, Key: "a", Value: []byte("x")}, format.V1)
 	valid := int64(len(img))
 	img = appendFrame(img, Record{LSN: 8, Op: OpPut, Key: "b", Value: []byte("y")}, format.V1)
-	if err := dev.Append(img[:valid+5]); err != nil { // torn mid-frame
+	if err := dev.Append(img[:valid+5], int(valid)+5); err != nil { // torn mid-frame
 		t.Fatal(err)
 	}
 	l, recs, tail, err := Open(dev, format.V2, nil)
@@ -279,8 +279,9 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 }
 
-// TestCheckpointTruncatesAndChainsLSN folds the log and verifies the
-// restart record carries the sequence across the truncation and a reopen.
+// TestCheckpointTruncatesAndChainsLSN folds an in-memory log, whose
+// rewind truncates, and verifies the restart record carries the sequence
+// across the checkpoint and a reopen.
 func TestCheckpointTruncatesAndChainsLSN(t *testing.T) {
 	dev := NewMem()
 	l, _, _, err := Open(dev, format.V2, nil)
@@ -359,25 +360,42 @@ func TestSyncErrorIsSticky(t *testing.T) {
 	}
 }
 
-// TestFileDevice exercises the production device end to end, including
-// persistence across reopen and truncation.
+// TestFileDevice exercises the production device end to end: an append
+// leaves its end frame past the head and the next append overwrites it, a
+// rewind moves the head over bytes the medium keeps, and the medium
+// persists across reopen and truncation. "#" stands in for an end frame.
 func TestFileDevice(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	d, err := OpenFileDevice(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Append([]byte("hello ")); err != nil {
+	if err := d.Append([]byte("hello #"), 6); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Append([]byte("world")); err != nil {
+	if err := d.Append([]byte("world#"), 5); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := mustContents(t, d); string(got) != "hello world" {
-		t.Fatalf("contents %q", got)
+	if got := mustContents(t, d); string(got) != "hello world#" || d.Size() != 11 {
+		t.Fatalf("contents %q, size %d; want %q, 11", got, d.Size(), "hello world#")
+	}
+	if err := d.Rewind(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustContents(t, d); string(got) != "hello world#" || d.Size() != 0 {
+		t.Fatalf("after rewind: contents %q, size %d; the medium must keep its bytes", got, d.Size())
+	}
+	if err := d.Append([]byte("HEL#"), 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustContents(t, d); string(got) != "HEL#o world#" || d.Size() != 3 {
+		t.Fatalf("after rewind+append: contents %q, size %d", got, d.Size())
+	}
+	if err := d.Rewind(13); err == nil {
+		t.Fatal("rewind past the medium's end succeeded")
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -388,17 +406,17 @@ func TestFileDevice(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if d2.Size() != 11 {
-		t.Fatalf("reopened size %d, want 11", d2.Size())
+	if d2.Size() != 12 {
+		t.Fatalf("reopened head %d, want 12 (the medium's end, until the opener rewinds)", d2.Size())
 	}
 	if err := d2.TruncateTo(5); err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.Append([]byte("!")); err != nil {
+	if err := d2.Append([]byte("!#"), 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := mustContents(t, d2); string(got) != "hello!" {
-		t.Fatalf("after truncate+append: %q", got)
+	if got := mustContents(t, d2); string(got) != "HEL#o!#" || d2.Size() != 6 {
+		t.Fatalf("after truncate+append: contents %q, size %d", got, d2.Size())
 	}
 }
 

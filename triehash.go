@@ -142,7 +142,7 @@ type Options struct {
 	// returns, with concurrent writers sharing fsyncs through group commit
 	// (under Options.Concurrent the file lock is shared, so commits
 	// batch; the serial engines pay one fsync per op). The log is folded
-	// into the bucket pages and truncated at every checkpoint — Sync,
+	// into the bucket pages and rewound at every checkpoint — Sync,
 	// Close, or CheckpointBytes of log growth — and replayed on open, so
 	// a crash loses nothing that was logged. A file that has a wal.th is
 	// replayed (and stays WAL-enabled) on OpenAt even when this flag is
@@ -345,11 +345,13 @@ const (
 //     built, so the pin covers the engine's first write;
 //   - it installs the engine and, over a bucket file, sets the record
 //     limit;
-//   - a persistent file whose trie was built from bucket contents
-//     (fromRecords, fromBuckets) gets its metadata written, and a new one
-//     (fromEmpty, fromRecords) drops the log a previous tenant left in
-//     dir, which would otherwise be replayed into it on the next OpenAt;
-//   - it attaches the log (attachLog).
+//   - a new persistent file (fromEmpty, fromRecords) drops the log a
+//     previous tenant left in dir, which would otherwise be replayed into
+//     it on the next OpenAt;
+//   - it attaches the log (logDevice, attachWAL), whose checkpoint installs
+//     the metadata; a persistent file without a log whose trie was built
+//     from bucket contents (fromRecords, fromBuckets) gets its metadata
+//     written instead, so either way it is installed once.
 //
 // On any failure it closes the store stack.
 func assemble(opts Options, dir string, base store.Store, from origin, build func(store.Store) (engine, error)) (f *File, err error) {
@@ -375,18 +377,25 @@ func assemble(opts Options, dir string, base store.Store, from origin, build fun
 	if fs != nil {
 		f.setRecordLimit()
 	}
-	if dir != "" && (from == fromRecords || from == fromBuckets) {
-		if err := f.syncLocked(); err != nil {
-			return nil, err
-		}
-	}
 	if dir != "" && (from == fromEmpty || from == fromRecords) {
 		if err := os.Remove(walPath(dir)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, err
 		}
 	}
-	if err := f.attachLog(); err != nil {
+	dev, err := f.logDevice()
+	if err != nil {
 		return nil, err
+	}
+	if dev != nil {
+		if err := f.attachWAL(dev); err != nil {
+			return nil, err
+		}
+		return f, nil
+	}
+	if dir != "" && (from == fromRecords || from == fromBuckets) {
+		if err := f.installMeta(true); err != nil {
+			return nil, err
+		}
 	}
 	return f, nil
 }
@@ -857,8 +866,8 @@ func (f *File) syncLocked() error {
 	}
 	if f.log != nil {
 		// With the WAL attached, Sync is a checkpoint: fold the log into
-		// the bucket pages and truncate it, with one batched directory
-		// sync instead of one per metadata install.
+		// the bucket pages and rewind it, with one batched directory sync
+		// instead of one per metadata install.
 		return f.checkpointLocked()
 	}
 	if f.dir == "" {
@@ -897,12 +906,13 @@ func (f *File) installMeta(dirSync bool) error {
 }
 
 // checkpointLocked folds the write-ahead log into the bucket pages and
-// truncates it. The order is load-bearing: buckets and metadata must be
-// durable — directory sync included — before the log shrinks, because
-// truncation destroys the only other copy of the logged operations. A
-// crash at any interior point leaves either the old meta + the full log
-// (replay covers everything) or the new meta + a longer-than-needed log
-// (replay is idempotent), both of which converge on open.
+// rewinds it. The order is load-bearing: buckets and metadata must be
+// durable — directory sync included — before the log rewinds, because
+// the new generation overwrites the only other copy of the logged
+// operations. A crash at any interior point leaves either the old meta +
+// the full log (replay covers everything) or the new meta + a
+// longer-than-needed log (replay is idempotent), both of which converge
+// on open.
 func (f *File) checkpointLocked() error {
 	if f.closed {
 		return ErrClosed

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"triehash/internal/store"
+	"triehash/internal/wal"
 	"triehash/internal/workload"
 )
 
@@ -243,13 +244,8 @@ func TestWALTornTailRepair(t *testing.T) {
 	model["~torn"] = "tail"
 
 	crashed := copyWALDir(t, live)
-	walFile := filepath.Join(crashed, "wal.th")
-	info, err := os.Stat(walFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(walFile, info.Size()-3); err != nil { // torn mid-frame
-		t.Fatal(err)
+	if torn := tearLastRecord(t, filepath.Join(crashed, "wal.th")); torn.Key != "~torn" {
+		t.Fatalf("the tear destroyed %+v, want the ~torn sentinel's frame", torn)
 	}
 	g, err := OpenAt(crashed)
 	if err != nil {
@@ -262,6 +258,32 @@ func TestWALTornTailRepair(t *testing.T) {
 	// The torn record had already reached the buckets (the snapshot copied
 	// them), so the full model — torn tail included — must be served.
 	verifyWALModel(t, g, model)
+}
+
+// tearLastRecord cuts the log file 3 bytes short of its live end, inside
+// the last record's frame, and returns the record the cut destroys. The
+// live end is where the scan stops: past it lie the end frame and any
+// older generation's frames, so a cut there would tear no record.
+func tearLastRecord(t *testing.T, walFile string) wal.Record {
+	t.Helper()
+	data, err := os.ReadFile(walFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, tail, _, err := wal.Scan(data)
+	if err != nil || tail.Damaged || len(recs) == 0 {
+		t.Fatalf("log before the tear: %d records, tail %+v, err %v", len(recs), tail, err)
+	}
+	cut := tail.ValidSize - 3
+	if err := os.Truncate(walFile, cut); err != nil {
+		t.Fatal(err)
+	}
+	left, torn, _, err := wal.Scan(data[:cut])
+	if err != nil || !torn.Damaged || len(left) != len(recs)-1 {
+		t.Fatalf("cut at byte %d left %d of %d records (tail %+v, err %v); want the last one torn",
+			cut, len(left), len(recs), torn, err)
+	}
+	return recs[len(recs)-1]
 }
 
 // TestWALCheckpointBatchesDirSyncs verifies satellite 4's fsync-ordering
@@ -323,4 +345,147 @@ func TestWALFreshCreateDiscardsStaleLog(t *testing.T) {
 		t.Fatalf("stale log replayed on reopen: Get(ghost) err = %v", err)
 	}
 	_ = f // the crashed handle is abandoned, as a real crash would leave it
+}
+
+// TestWALBuildInstallsMetaOnce checks a persistent file whose trie is
+// built from bucket contents installs its metadata once when a log
+// attaches: the attach checkpoint is the install, so one directory sync,
+// not a second one for an install just before it.
+func TestWALBuildInstallsMetaOnce(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	i := 0
+	next := func() (string, []byte, bool) {
+		if i == 1000 {
+			return "", nil, false
+		}
+		i++
+		return fmt.Sprintf("k%05d", i), []byte("v"), true
+	}
+	before := store.DirSyncCount()
+	f, err := BulkLoad(dir, Options{BucketCapacity: 8, WAL: true}, 1, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := store.DirSyncCount() - before; d != 1 {
+		t.Errorf("BulkLoad with WAL made %d directory syncs, want 1", d)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before = store.DirSyncCount()
+	g, err := RecoverAt(dir, Options{}) // wal.th attaches the log
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if d := store.DirSyncCount() - before; d != 1 {
+		t.Errorf("RecoverAt of a file with wal.th made %d directory syncs, want 1", d)
+	}
+	if _, ok := g.WALStats(); !ok || g.Len() != 1000 {
+		t.Fatalf("recovered file: WAL attached %v, %d keys; want true, 1000", ok, g.Len())
+	}
+}
+
+// TestWALCleanCloseTrimsLog runs a file through several checkpoints, so
+// its log medium holds an end frame and a dead tail past the live log,
+// and checks a clean Close trims wal.th to the single checkpoint marker a
+// closed log has always held, and the reopen finds no torn tail and
+// nothing to replay.
+func TestWALCleanCloseTrimsLog(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	f, err := CreateAt(dir, Options{BucketCapacity: 8, WAL: true, CheckpointBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := driveWALStream(t, f, 400)
+	st, _ := f.WALStats()
+	info, err := os.Stat(walPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Checkpoints < 3 || info.Size() <= st.Size {
+		t.Fatalf("%d checkpoints, medium %d bytes for a %d-byte live log; want >= 3 and a dead tail",
+			st.Checkpoints, info.Size(), st.Size)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(walPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, tail, _, err := wal.Scan(data)
+	if err != nil || tail.Damaged || tail.ValidSize != int64(len(data)) || len(recs) != 1 || recs[0].Op != wal.OpCheckpoint {
+		t.Fatalf("closed log: %d bytes, %d records, tail %+v, err %v; want one marker and nothing past it",
+			len(data), len(recs), tail, err)
+	}
+	g, err := OpenAt(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if g.walTornTail != "" || g.walReplayed != 0 {
+		t.Fatalf("reopen after a clean close: torn tail %q, %d replayed; want none", g.walTornTail, g.walReplayed)
+	}
+	verifyWALModel(t, g, model)
+}
+
+// TestWALCrashCopyWithDeadTail takes a crash copy mid-run, after several
+// checkpoints, while the log medium still holds older generations' frames
+// past the live one, and checks the reopen replays exactly the live
+// generation's records — none of the dead tail's — and restores the
+// model.
+func TestWALCrashCopyWithDeadTail(t *testing.T) {
+	live := filepath.Join(t.TempDir(), "db")
+	f, err := CreateAt(live, Options{BucketCapacity: 8, WAL: true, CheckpointBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	keys := workload.Uniform(59, 600, 3, 8)
+	model := map[string]string{}
+	st, _ := f.WALStats()
+	first := st.Checkpoints  // the attach checkpoint
+	since, ckpts := 0, first // records logged since the last checkpoint
+	for i, k := range keys {
+		v := fmt.Sprintf("v%d", i)
+		if err := f.Put(k, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		model[k] = v
+		since++
+		if st, _ := f.WALStats(); st.Checkpoints != ckpts {
+			since, ckpts = 0, st.Checkpoints
+		}
+		if ckpts >= first+3 && since == 5 {
+			break
+		}
+	}
+	st, _ = f.WALStats()
+	if ckpts < first+3 || since != 5 {
+		t.Fatalf("stream ended at %d checkpoints, %d records since the last", ckpts-first, since)
+	}
+	crashed := copyWALDir(t, live)
+	data, err := os.ReadFile(walPath(crashed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, tail, _, err := wal.Scan(data)
+	if err != nil || tail.Damaged || tail.ValidSize != st.Size || int64(len(data)) <= st.Size {
+		t.Fatalf("crash copy's log: %d bytes, tail %+v, err %v; want a clean scan to the %d-byte live log and a dead tail past it",
+			len(data), tail, err, st.Size)
+	}
+	if len(recs) != since+1 || recs[0].Op != wal.OpCheckpoint {
+		t.Fatalf("crash copy's log scans %d records, want the marker and the %d since it", len(recs), since)
+	}
+	g, err := OpenAt(crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if g.walReplayed != since || g.walTornTail != "" {
+		t.Fatalf("reopen replayed %d records (torn tail %q), want exactly the live generation's %d",
+			g.walReplayed, g.walTornTail, since)
+	}
+	verifyWALModel(t, g, model)
 }

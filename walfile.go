@@ -16,7 +16,7 @@ import (
 // three tiers — see DESIGN.md "Durability contract":
 //
 //	1. WAL replay      — every op committed since the last checkpoint
-//	2. checkpoint      — buckets + metadata durably folded, log truncated
+//	2. checkpoint      — buckets + metadata durably folded, log rewound
 //	3. salvage + scrub — trie rebuilt from bucket bounds, damage quarantined
 //
 // Tier 1 is the hot path; tiers 2 and 3 are the fallbacks replay leans on
@@ -37,7 +37,7 @@ type WALStats struct {
 	Checkpoints uint64
 	// DurableLSN is the highest log sequence number known durable.
 	DurableLSN uint64
-	// Size is the current log length in bytes.
+	// Size is the live log length in bytes.
 	Size int64
 }
 
@@ -61,9 +61,10 @@ func (f *File) WALStats() (s WALStats, ok bool) {
 func walPath(dir string) string { return filepath.Join(dir, "wal.th") }
 
 // attachWAL opens the log on dev, replays any surviving records into the
-// engine, folds the replayed state with an immediate checkpoint, and
-// leaves the log attached as the file's hot durability path. Call before
-// the file is published (no locking).
+// engine, folds the replayed state with an immediate checkpoint — which
+// is also the install of the metadata of a file just built from bucket
+// contents — and leaves the log attached as the file's hot durability
+// path. Call before the file is published (no locking).
 func (f *File) attachWAL(dev wal.Device) error {
 	l, recs, tail, err := wal.Open(dev, f.opts.formatVersion(), f.hook)
 	if err != nil {
@@ -71,8 +72,8 @@ func (f *File) attachWAL(dev wal.Device) error {
 	}
 	// Only operations after the last checkpoint marker are pending: the
 	// marker certifies everything before it was folded into the bucket
-	// pages before the log was truncated (a clean close leaves exactly
-	// one marker and nothing else).
+	// pages before the log was rewound (a clean close leaves exactly one
+	// marker and nothing else).
 	start := 0
 	for i, r := range recs {
 		if r.Op == wal.OpCheckpoint {
@@ -81,6 +82,15 @@ func (f *File) attachWAL(dev wal.Device) error {
 	}
 	pending := recs[start:]
 	if len(pending) > 0 || tail.Damaged {
+		if f.recovered {
+			// A file rebuilt from its buckets installs the rebuild before
+			// the replay, so a replay that fails leaves it behind rather
+			// than the metadata it replaced.
+			if err := f.installMeta(true); err != nil {
+				_ = l.Close() // the install error takes precedence
+				return err
+			}
+		}
 		if err := f.replayWAL(pending); err != nil {
 			_ = l.Close() // the replay error takes precedence
 			return fmt.Errorf("triehash: wal replay: %w", err)
@@ -102,34 +112,34 @@ func (f *File) attachWAL(dev wal.Device) error {
 	return nil
 }
 
-// attachLog attaches the file's write-ahead log: in memory when an
+// logDevice opens the file's write-ahead log device: in memory when an
 // in-memory file asks for one, and dir/wal.th when a persistent file asks
 // for one or already has one — a file that chose the WAL contract at
 // creation keeps it (and gets its crash replay) even when the reopener
-// forgot the flag.
-func (f *File) attachLog() error {
+// forgot the flag. It returns nil when the file runs without a log.
+func (f *File) logDevice() (wal.Device, error) {
 	if f.dir == "" {
 		if !f.opts.WAL {
-			return nil
+			return nil, nil
 		}
 		// An in-memory WAL buys nothing across a process crash, but it
 		// exercises the exact logging path, so tests and differential
 		// comparisons run it against the real durability code.
-		return f.attachWAL(wal.NewMem())
+		return wal.NewMem(), nil
 	}
 	path := walPath(f.dir)
 	if !f.opts.WAL {
 		if _, err := os.Stat(path); errors.Is(err, os.ErrNotExist) {
-			return nil
+			return nil, nil
 		} else if err != nil {
-			return err
+			return nil, err
 		}
 	}
 	dev, err := wal.OpenFileDevice(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return f.attachWAL(dev)
+	return dev, nil
 }
 
 // replayWAL restores the committed state: canonicalize the physical
